@@ -11,6 +11,6 @@ from .augment import AugmentPackage, BBox, LabeledImage, apply_package, hflip, r
 from .backbone import AttentionKind, Backbone, BackboneDesign, build_design, per_branch_attention
 from .config import ExperimentConfig
 from .metrics import average_precision, coco_ap, evaluate, iou, mean_box_area
-from .tensor import Param, ShapeError, Tensor4
+from .tensor import Module, Param, ShapeError, Tensor4
 
 __version__ = "0.1.0"

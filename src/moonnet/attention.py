@@ -15,12 +15,14 @@ import math
 import numpy as np
 
 from .tensor import (
+    Module,
     Param,
     ShapeError,
     Tensor4,
     broadcast_mul,
     channel_reduce_avg,
     channel_reduce_max,
+    clipped_sigmoid,
     concat_channels,
     conv2d,
     fc,
@@ -47,16 +49,14 @@ class GateKind(enum.Enum):
 
 def gate_multiplier(kind: GateKind, logit: float) -> float:
     """Scalar gate response: sigmoid in (0, 1), residual tanh in (0, 2)."""
-    if kind is GateKind.SIGMOID_ORIGINAL:
-        return 1.0 / (1.0 + math.exp(-logit))
-    return 1.0 + math.tanh(logit)
+    mult, _ = gate_tensor(Tensor4(np.full((1, 1, 1, 1), logit, dtype=np.float64)), kind)
+    return float(mult.values[0, 0, 0, 0])
 
 
 def gate_tensor(z: Tensor4, kind: GateKind):
     """Tensor gate with backward; returns (multiplier, backward)."""
     if kind is GateKind.SIGMOID_ORIGINAL:
-        s = 1.0 / (1.0 + np.exp(-np.clip(z.values, -60.0, 60.0)))
-        mult = s
+        s = mult = clipped_sigmoid(z.values)
 
         def backward(g):
             return (g * s * (1.0 - s),)
@@ -82,7 +82,7 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-class SEBlock:
+class SEBlock(Module):
     """Squeeze-and-excitation: global average pool, bottleneck MLP, channel gate.
 
     Constructed identity-safe: the output projection (W2, b2) starts at zero,
@@ -94,7 +94,6 @@ class SEBlock:
                  rng: np.random.Generator | None = None,
                  dtype=np.float32, name: str = "se"):
         self.channels = channels
-        self.reduction = reduction
         self.m = bottleneck_width(channels, reduction)
         self.gate = gate
         self.dtype = np.dtype(dtype)
@@ -105,16 +104,6 @@ class SEBlock:
         self.w2 = Param(f"{name}/w2", np.zeros((channels, self.m), dtype=dtype))
         self.b2 = Param(f"{name}/b2", np.zeros((channels,), dtype=dtype))
         self._tape = None
-
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
-    def named_tensors(self):
-        return [(p.name, p.value) for p in self.parameters()]
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         if x.c != self.channels:
@@ -143,7 +132,7 @@ class SEBlock:
         return gx_main + gx_pool
 
 
-class CBAMBlock:
+class CBAMBlock(Module):
     """Channel gate (shared MLP over avg- and max-pooled statistics) followed
     by a spatial gate (k x k conv over channel-reduced avg/max maps).
 
@@ -161,7 +150,6 @@ class CBAMBlock:
         if kernel_size % 2 == 0:
             raise ValueError(f"spatial kernel size must be odd, got {kernel_size}")
         self.channels = channels
-        self.reduction = reduction
         self.m = bottleneck_width(channels, reduction)
         self.k = kernel_size
         self.gate = gate
@@ -176,17 +164,6 @@ class CBAMBlock:
                                     np.zeros((1, 2, kernel_size, kernel_size), dtype=dtype))
         self.spatial_bias = Param(f"{name}/spatial_bias", np.zeros((1,), dtype=dtype))
         self._tape = None
-
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2,
-                self.spatial_kernel, self.spatial_bias]
-
-    def named_tensors(self):
-        return [(p.name, p.value) for p in self.parameters()]
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
 
     def _excite(self, pooled: Tensor4):
         h_pre, bw_fc1 = fc(pooled, self.w1.value, self.b1.value)

@@ -13,12 +13,13 @@ Design 5 is MoonNet: SE and CBAM alternating per stage, starting with SE.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import CBAMBlock, GateKind, SEBlock
 from .tensor import (
+    Module,
     Param,
     ShapeError,
     Tensor4,
@@ -77,7 +78,6 @@ class StageSpec:
     out_channels: int
     attention: AttentionKind = AttentionKind.NONE
     has_c2f: bool = True
-    c2f_bottlenecks: int = 1
 
 
 @dataclass
@@ -133,7 +133,7 @@ def _conv_init(rng, c_out, c_in, k, dtype):
     return rng.uniform(-bound, bound, size=(c_out, c_in, k, k)).astype(dtype)
 
 
-class ConvBlock:
+class ConvBlock(Module):
     """conv -> batchnorm -> SiLU."""
 
     def __init__(self, c_in, c_out, k=3, stride=1, pad=None, rng=None,
@@ -152,14 +152,10 @@ class ConvBlock:
         self.eps = 1e-5
         self._tape = None
 
-    def parameters(self):
-        return [self.weight, self.bias, self.gamma, self.beta]
-
     def named_tensors(self):
-        out = [(p.name, p.value) for p in self.parameters()]
-        out.append((f"{self.weight.name.rsplit('/', 1)[0]}/bn_running_mean", self.running_mean))
-        out.append((f"{self.weight.name.rsplit('/', 1)[0]}/bn_running_var", self.running_var))
-        return out
+        prefix = self.weight.name.rsplit("/", 1)[0]
+        return super().named_tensors() + [(f"{prefix}/bn_running_mean", self.running_mean),
+                                          (f"{prefix}/bn_running_var", self.running_var)]
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         y, bw_conv = conv2d(x, self.weight.value, self.bias.value,
@@ -183,19 +179,13 @@ class ConvBlock:
         return gx
 
 
-class Bottleneck:
+class Bottleneck(Module):
     """Two 3x3 conv blocks with a residual add (channel-preserving)."""
 
     def __init__(self, channels, rng=None, dtype=np.float32, name="bneck"):
         self.cv1 = ConvBlock(channels, channels, 3, rng=rng, dtype=dtype, name=f"{name}/cv1")
         self.cv2 = ConvBlock(channels, channels, 3, rng=rng, dtype=dtype, name=f"{name}/cv2")
         self._tape = None
-
-    def parameters(self):
-        return self.cv1.parameters() + self.cv2.parameters()
-
-    def named_tensors(self):
-        return self.cv1.named_tensors() + self.cv2.named_tensors()
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         y = self.cv1.forward(x, training)
@@ -211,38 +201,23 @@ class Bottleneck:
         return gx + gy
 
 
-class C2f:
+class C2f(Module):
     """Simplified split/bottleneck/concat block: 1x1 conv, split in half,
-    run bottlenecks on the second half, concat, 1x1 conv."""
+    run one bottleneck on the second half, concat, 1x1 conv."""
 
-    def __init__(self, channels, n_bottlenecks=1, rng=None, dtype=np.float32, name="c2f"):
+    def __init__(self, channels, rng=None, dtype=np.float32, name="c2f"):
         if channels % 2:
             raise ConfigError(f"C2f needs an even channel count, got {channels}")
         self.channels = channels
         self.cv1 = ConvBlock(channels, channels, 1, rng=rng, dtype=dtype, name=f"{name}/cv1")
-        half = channels // 2
-        self.blocks = [Bottleneck(half, rng=rng, dtype=dtype, name=f"{name}/b{i}")
-                       for i in range(n_bottlenecks)]
+        self.block = Bottleneck(channels // 2, rng=rng, dtype=dtype, name=f"{name}/b0")
         self.cv2 = ConvBlock(channels, channels, 1, rng=rng, dtype=dtype, name=f"{name}/cv2")
         self._tape = None
-
-    def parameters(self):
-        out = self.cv1.parameters()
-        for b in self.blocks:
-            out += b.parameters()
-        return out + self.cv2.parameters()
-
-    def named_tensors(self):
-        out = self.cv1.named_tensors()
-        for b in self.blocks:
-            out += b.named_tensors()
-        return out + self.cv2.named_tensors()
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         y = self.cv1.forward(x, training)
         a, b, bw_split = split_channels(y, self.channels // 2)
-        for blk in self.blocks:
-            b = blk.forward(b, training)
+        b = self.block.forward(b, training)
         y, bw_cat = concat_channels(a, b)
         self._tape = (bw_split, bw_cat)
         return self.cv2.forward(y, training)
@@ -251,24 +226,22 @@ class C2f:
         bw_split, bw_cat = self._tape
         g = self.cv2.backward(g)
         ga, gb = bw_cat(g)
-        for blk in reversed(self.blocks):
-            gb = blk.backward(gb)
+        gb = self.block.backward(gb)
         (g,) = bw_split(ga, gb)
         return self.cv1.backward(g)
 
 
-def _make_attention(kind: AttentionKind, channels: int, design: BackboneDesign,
-                    rng, dtype, name):
+def _make_attention(kind: AttentionKind, channels: int, gate: GateKind, reduction: int,
+                    spatial_kernel: int, rng, dtype, name):
     if kind is AttentionKind.SE:
-        return SEBlock(channels, design.reduction, design.gate, rng=rng,
-                       dtype=dtype, name=name)
+        return SEBlock(channels, reduction, gate, rng=rng, dtype=dtype, name=name)
     if kind is AttentionKind.CBAM:
-        return CBAMBlock(channels, design.reduction, design.spatial_kernel,
-                         design.gate, rng=rng, dtype=dtype, name=name)
+        return CBAMBlock(channels, reduction, spatial_kernel, gate, rng=rng,
+                         dtype=dtype, name=name)
     return None
 
 
-class Stage:
+class Stage(Module):
     """stride-2 conv block -> attention -> optional C2f."""
 
     def __init__(self, c_in, spec: StageSpec, design: BackboneDesign, seed, idx,
@@ -280,27 +253,11 @@ class Stage:
         c2f_rng = np.random.default_rng([seed, idx, 2])
         self.conv = ConvBlock(c_in, spec.out_channels, 3, stride=2, rng=conv_rng,
                               dtype=dtype, name=f"stage{idx}/conv")
-        self.attention = _make_attention(spec.attention, spec.out_channels, design,
+        self.attention = _make_attention(spec.attention, spec.out_channels, design.gate,
+                                         design.reduction, design.spatial_kernel,
                                          att_rng, dtype, name=f"stage{idx}/att")
-        self.c2f = (C2f(spec.out_channels, spec.c2f_bottlenecks, rng=c2f_rng,
-                        dtype=dtype, name=f"stage{idx}/c2f")
+        self.c2f = (C2f(spec.out_channels, rng=c2f_rng, dtype=dtype, name=f"stage{idx}/c2f")
                     if spec.has_c2f else None)
-
-    def parameters(self):
-        out = self.conv.parameters()
-        if self.attention is not None:
-            out += self.attention.parameters()
-        if self.c2f is not None:
-            out += self.c2f.parameters()
-        return out
-
-    def named_tensors(self):
-        out = self.conv.named_tensors()
-        if self.attention is not None:
-            out += self.attention.named_tensors()
-        if self.c2f is not None:
-            out += self.c2f.named_tensors()
-        return out
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         y = self.conv.forward(x, training)
@@ -318,7 +275,7 @@ class Stage:
         return self.conv.backward(g)
 
 
-class Backbone:
+class Backbone(Module):
     """Full stage pipeline; forward emits every stage output for pyramid use."""
 
     def __init__(self, design: BackboneDesign, seed: int = 0, in_channels: int = 3,
@@ -331,24 +288,8 @@ class Backbone:
             self.stages.append(Stage(c, spec, design, seed, i, dtype=dtype))
             c = spec.out_channels
 
-    def parameters(self):
-        out = []
-        for s in self.stages:
-            out += s.parameters()
-        return out
-
-    def named_tensors(self):
-        out = []
-        for s in self.stages:
-            out += s.named_tensors()
-        return out
-
     def num_parameters(self) -> int:
         return sum(p.value.size for p in self.parameters())
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
 
     def forward(self, x: Tensor4, training: bool = True) -> list[Tensor4]:
         if x.c != self.in_channels:
@@ -393,12 +334,11 @@ def per_branch_attention(branches: list[Tensor4], kinds: list[AttentionKind],
     """
     if len(kinds) != len(branches):
         raise ConfigError(f"{len(branches)} branches but {len(kinds)} attention kinds")
-    design = BackboneDesign(design_id=-1, stages=[], gate=gate,
-                            reduction=reduction, spatial_kernel=spatial_kernel)
     outs, modules = [], []
     for i, (f, kind) in enumerate(zip(branches, kinds)):
         rng = np.random.default_rng([seed, i])
-        mod = _make_attention(kind, f.c, design, rng, dtype, name=f"branch{i}/att")
+        mod = _make_attention(kind, f.c, gate, reduction, spatial_kernel, rng, dtype,
+                              name=f"branch{i}/att")
         modules.append(mod)
         outs.append(f if mod is None else mod.forward(f, training=False))
     return outs, modules

@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from .attention import CBAMBlock, GateKind, SEBlock
 from .backbone import Backbone, build_design
-from .tensor import KinkTrace, Tensor4
+from .tensor import KinkTrace, Module, Tensor4
 
 __all__ = [
     "GradReport",
@@ -120,180 +120,71 @@ def _weighted_sum(out_values, weights):
     return float((out_values * weights).sum())
 
 
+def _op_case(rng, op_name, op, inputs):
+    """Gradcheck one operator on fresh draws.
+
+    ``inputs`` maps site name -> shape, or -> a function of the rng for a
+    non-standard draw; ``op(*arrays)`` returns ``(*outputs, backward)``.
+    The loss weights each output by a draw of its shape, taken after the
+    inputs; draws near a kink are redrawn.
+    """
+    def make(r):
+        xs = {k: s(r) if callable(s) else _draw(r, s) for k, s in inputs.items()}
+        *outs, _ = op(*xs.values())
+        ws = [_draw(r, o.shape) for o in outs]
+
+        def loss():
+            *outs, _ = op(*xs.values())
+            return sum(_weighted_sum(o.values, w) for o, w in zip(outs, ws))
+
+        def analytic():
+            *_, bwd = op(*xs.values())
+            return dict(zip(xs, bwd(*ws)))
+
+        return loss, xs, analytic
+
+    loss, sites, analytic = _draw_safe(make, rng)
+    return check_sites(op_name, loss, sites, analytic())
+
+
+def _tensor_op(fn, n_tensors=1, **kw):
+    """Adapt an operator taking Tensor4 first arguments to raw arrays."""
+    return lambda *a: fn(*(Tensor4(x) for x in a[:n_tensors]), *a[n_tensors:], **kw)
+
+
 def check_op_suite(seed: int = 0, shapes=((1, 3, 4, 4), (2, 1, 5, 2), (1, 16, 2, 5))):
     """Gradcheck every primitive operator over a set of shapes."""
     rng = np.random.default_rng(seed)
-    reports = []
-
-    def simple(op_name, shape, forward, n_inputs=1):
-        """forward(xs) -> (out, backward); backward(g) -> grads per input."""
-        xs = [_draw(rng, shape) for _ in range(n_inputs)]
-        out, _ = forward([Tensor4(x) for x in xs])
-        w = _draw(rng, out.shape)
-
-        def loss():
-            o, _ = forward([Tensor4(x) for x in xs])
-            return _weighted_sum(o.values, w)
-
-        out, bwd = forward([Tensor4(x) for x in xs])
-        grads = bwd(w)
-        sites = {f"x{i}": xs[i] for i in range(n_inputs)}
-        analytic = {f"x{i}": grads[i] for i in range(n_inputs)}
-        reports.extend(check_sites(op_name, loss, sites, analytic))
-
+    cases = []
     for shape in shapes:
-        n, c, h, w4 = shape
-        simple("global_avg_pool", shape, lambda xs: T.global_avg_pool(xs[0]))
-        simple("channel_reduce_avg", shape, lambda xs: T.channel_reduce_avg(xs[0]))
-        simple("sigmoid", shape, lambda xs: T.sigmoid(xs[0]))
-        simple("tanh_act", shape, lambda xs: T.tanh_act(xs[0]))
-        simple("silu", shape, lambda xs: T.silu(xs[0]))
-        simple("add", shape, lambda xs: T.add(xs[0], xs[1]), n_inputs=2)
-
-        # relu: redraw inputs that sit within the kink margin of zero
-        def make_relu(r):
-            x = _draw(r, shape)
-            wgt = _draw(r, shape)
-
-            def loss():
-                o, _ = T.relu(Tensor4(x))
-                return _weighted_sum(o.values, wgt)
-
-            def analytic():
-                o, bwd = T.relu(Tensor4(x))
-                return {"x": bwd(wgt)[0]}
-
-            return loss, {"x": x}, analytic
-
-        loss, sites, analytic = _draw_safe(make_relu, rng)
-        reports.extend(check_sites("relu", loss, sites, analytic()))
-
-        # max reductions: redraw near-ties handled via KinkTrace
-        def make_maxpool(r):
-            x = _draw(r, shape)
-            wgt = _draw(r, (n, c, 1, 1))
-
-            def loss():
-                o, _ = T.global_max_pool(Tensor4(x))
-                return _weighted_sum(o.values, wgt)
-
-            def analytic():
-                o, bwd = T.global_max_pool(Tensor4(x))
-                return {"x": bwd(wgt)[0]}
-
-            return loss, {"x": x}, analytic
-
-        loss, sites, analytic = _draw_safe(make_maxpool, rng)
-        reports.extend(check_sites("global_max_pool", loss, sites, analytic()))
-
-        if c > 1:
-            def make_cmax(r):
-                x = _draw(r, shape)
-                wgt = _draw(r, (n, 1, h, w4))
-
-                def loss():
-                    o, _ = T.channel_reduce_max(Tensor4(x))
-                    return _weighted_sum(o.values, wgt)
-
-                def analytic():
-                    o, bwd = T.channel_reduce_max(Tensor4(x))
-                    return {"x": bwd(wgt)[0]}
-
-                return loss, {"x": x}, analytic
-
-            loss, sites, analytic = _draw_safe(make_cmax, rng)
-            reports.extend(check_sites("channel_reduce_max", loss, sites, analytic()))
-
-    # fc
-    n, cin, cout = 2, 5, 3
-    x = _draw(rng, (n, cin, 1, 1))
-    W = _draw(rng, (cout, cin))
-    b = _draw(rng, (cout,))
-    wgt = _draw(rng, (n, cout, 1, 1))
-
-    def fc_loss():
-        o, _ = T.fc(Tensor4(x), W, b)
-        return _weighted_sum(o.values, wgt)
-
-    _, bwd = T.fc(Tensor4(x), W, b)
-    gx, gW, gb = bwd(wgt)
-    reports.extend(check_sites("fc", fc_loss, {"x": x, "W": W, "b": b},
-                               {"x": gx, "W": gW, "b": gb}))
-
-    # conv2d over a few geometries
+        x0, x = {"x0": shape}, {"x": shape}
+        cases += [(name, _tensor_op(getattr(T, name)), x0) for name in
+                  ("global_avg_pool", "channel_reduce_avg", "sigmoid", "tanh_act", "silu")]
+        cases += [("add", _tensor_op(T.add, 2), {"x0": shape, "x1": shape}),
+                  ("relu", _tensor_op(T.relu), x),
+                  ("global_max_pool", _tensor_op(T.global_max_pool), x)]
+        if shape[1] > 1:
+            cases.append(("channel_reduce_max", _tensor_op(T.channel_reduce_max), x))
+    cases.append(("fc", _tensor_op(T.fc), {"x": (2, 5, 1, 1), "W": (3, 5), "b": (3,)}))
     for (cin, cout, k, stride, pad, hw) in [(2, 1, 3, 1, 1, 5), (3, 4, 3, 2, 1, 6),
                                             (1, 2, 1, 1, 0, 4)]:
-        x = _draw(rng, (1, cin, hw, hw))
-        kern = _draw(rng, (cout, cin, k, k))
-        b = _draw(rng, (cout,))
-        out, bwd = T.conv2d(Tensor4(x), kern, b, stride, pad)
-        wgt = _draw(rng, out.shape)
-
-        def conv_loss():
-            o, _ = T.conv2d(Tensor4(x), kern, b, stride, pad)
-            return _weighted_sum(o.values, wgt)
-
-        gx, gk, gb = bwd(wgt)
-        reports.extend(check_sites(f"conv2d(k={k},s={stride},p={pad})", conv_loss,
-                                   {"x": x, "kernel": kern, "b": b},
-                                   {"x": gx, "kernel": gk, "b": gb}))
-
-    # broadcast_mul, both gate shapes
+        cases.append((f"conv2d(k={k},s={stride},p={pad})",
+                      _tensor_op(T.conv2d, stride=stride, pad=pad),
+                      {"x": (1, cin, hw, hw), "kernel": (cout, cin, k, k), "b": (cout,)}))
     for gshape in [(2, 3, 1, 1), (2, 1, 4, 4)]:
-        x = _draw(rng, (2, 3, 4, 4))
-        gt = _draw(rng, gshape)
-        wgt = _draw(rng, (2, 3, 4, 4))
-
-        def bm_loss():
-            o, _ = T.broadcast_mul(Tensor4(x), Tensor4(gt))
-            return _weighted_sum(o.values, wgt)
-
-        _, bwd = T.broadcast_mul(Tensor4(x), Tensor4(gt))
-        gx, gg = bwd(wgt)
-        reports.extend(check_sites(f"broadcast_mul{gshape}", bm_loss,
-                                   {"x": x, "gate": gt}, {"x": gx, "gate": gg}))
-
-    # concat / split
-    a = _draw(rng, (1, 2, 3, 3))
-    b2 = _draw(rng, (1, 4, 3, 3))
-    wgt = _draw(rng, (1, 6, 3, 3))
-
-    def cat_loss():
-        o, _ = T.concat_channels(Tensor4(a), Tensor4(b2))
-        return _weighted_sum(o.values, wgt)
-
-    _, bwd = T.concat_channels(Tensor4(a), Tensor4(b2))
-    ga, gb = bwd(wgt)
-    reports.extend(check_sites("concat_channels", cat_loss, {"a": a, "b": b2},
-                               {"a": ga, "b": gb}))
-
-    x = _draw(rng, (1, 6, 2, 2))
-    wa = _draw(rng, (1, 2, 2, 2))
-    wb = _draw(rng, (1, 4, 2, 2))
-
-    def split_loss():
-        pa, pb, _ = T.split_channels(Tensor4(x), 2)
-        return _weighted_sum(pa.values, wa) + _weighted_sum(pb.values, wb)
-
-    _, _, bwd = T.split_channels(Tensor4(x), 2)
-    (gx,) = bwd(wa, wb)
-    reports.extend(check_sites("split_channels", split_loss, {"x": x}, {"x": gx}))
-
-    # batchnorm (training mode)
-    x = _draw(rng, (2, 3, 4, 4))
-    gamma = 1.0 + 0.1 * _draw(rng, (3,))
-    beta = 0.1 * _draw(rng, (3,))
-    wgt = _draw(rng, (2, 3, 4, 4))
-
-    def bn_loss():
-        o, _ = T.batchnorm(Tensor4(x), gamma, beta)
-        return _weighted_sum(o.values, wgt)
-
-    _, bwd = T.batchnorm(Tensor4(x), gamma, beta)
-    gx, gg, gb = bwd(wgt)
-    reports.extend(check_sites("batchnorm", bn_loss, {"x": x, "gamma": gamma, "beta": beta},
-                               {"x": gx, "gamma": gg, "beta": gb}))
-
+        cases.append((f"broadcast_mul{gshape}", _tensor_op(T.broadcast_mul, 2),
+                      {"x": (2, 3, 4, 4), "gate": gshape}))
+    cases += [
+        ("concat_channels", _tensor_op(T.concat_channels, 2),
+         {"a": (1, 2, 3, 3), "b": (1, 4, 3, 3)}),
+        ("split_channels", _tensor_op(T.split_channels, at=2), {"x": (1, 6, 2, 2)}),
+        ("batchnorm", _tensor_op(T.batchnorm),
+         {"x": (2, 3, 4, 4), "gamma": lambda r: 1.0 + 0.1 * _draw(r, (3,)),
+          "beta": lambda r: 0.1 * _draw(r, (3,))}),
+    ]
+    reports = []
+    for op_name, op, inputs in cases:
+        reports += _op_case(rng, op_name, op, inputs)
     return reports
 
 
@@ -361,12 +252,11 @@ def check_backbone(input_shape=(1, 3, 8, 8), seed: int = 0, n_stages: int = 2):
     for p in bb.parameters():
         p.value[...] = p.value + 0.05 * rng.standard_normal(p.value.shape)
 
-    class Wrapper:
-        def parameters(self):
-            return bb.parameters()
+    class Wrapper(Module):
+        """The backbone with its stage outputs flattened into one tensor."""
 
-        def zero_grad(self):
-            bb.zero_grad()
+        def __init__(self):
+            self.bb = bb
 
         def forward(self, x, training=True):
             self._outs = bb.forward(x, training)

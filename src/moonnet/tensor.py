@@ -17,6 +17,7 @@ __all__ = [
     "ShapeError",
     "Tensor4",
     "Param",
+    "Module",
     "KinkTrace",
     "global_avg_pool",
     "global_max_pool",
@@ -26,6 +27,7 @@ __all__ = [
     "conv2d",
     "relu",
     "sigmoid",
+    "clipped_sigmoid",
     "tanh_act",
     "silu",
     "broadcast_mul",
@@ -41,18 +43,17 @@ class ShapeError(ValueError):
 
 
 class Tensor4:
-    """Dense (n, c, h, w) array with an optional gradient buffer."""
+    """Dense (n, c, h, w) array."""
 
-    __slots__ = ("values", "grad")
+    __slots__ = ("values",)
 
-    def __init__(self, values, grad=None):
+    def __init__(self, values):
         values = np.asarray(values)
         if values.ndim != 4:
             raise ShapeError(f"Tensor4 needs 4 dims, got shape {values.shape}")
         if min(values.shape) < 1:
             raise ShapeError(f"all dims must be >= 1, got {values.shape}")
         self.values = values
-        self.grad = grad
 
     @property
     def shape(self):
@@ -100,6 +101,37 @@ class Param:
 
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.value.shape})"
+
+
+class Module:
+    """Base of every layer.  ``parameters()``, ``named_tensors()`` and
+    ``zero_grad()`` walk the instance's ``Param``, ``Module`` and
+    list-of-``Module`` attributes in assignment order, which is the
+    checkpoint order.  Subclasses define ``forward(x, training)`` and
+    ``backward(g)``, keeping what backward needs in ``self._tape``."""
+
+    def _members(self):
+        for v in vars(self).values():
+            if isinstance(v, (Param, Module)):
+                yield v
+            elif isinstance(v, list):
+                yield from (m for m in v if isinstance(m, Module))
+
+    def parameters(self) -> list[Param]:
+        out = []
+        for v in self._members():
+            out += [v] if isinstance(v, Param) else v.parameters()
+        return out
+
+    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
+        out = []
+        for v in self._members():
+            out += [(v.name, v.value)] if isinstance(v, Param) else v.named_tensors()
+        return out
+
+    def zero_grad(self):
+        for p in self.parameters():
+            p.zero_grad()
 
 
 class KinkTrace:
@@ -294,6 +326,11 @@ def _stable_sigmoid(v: np.ndarray) -> np.ndarray:
     e = np.exp(v[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def clipped_sigmoid(v: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-v)) with v clipped to [-60, 60], so exp never overflows."""
+    return 1.0 / (1.0 + np.exp(-np.clip(v, -60.0, 60.0)))
 
 
 def sigmoid(x: Tensor4):

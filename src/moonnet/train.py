@@ -9,7 +9,7 @@ image, matching the backbone's final-stage grid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .backbone import Backbone, build_design
 from .checkpoint import META_PREFIX, bytes_to_tensor, load_checkpoint, save_checkpoint, tensor_to_bytes
 from .config import ExperimentConfig
 from .metrics import EvalResult, evaluate
-from .tensor import Param, Tensor4, conv2d
+from .tensor import Module, Param, Tensor4, clipped_sigmoid, conv2d
 
 __all__ = [
     "sgd_step",
@@ -134,7 +134,7 @@ class SyntheticPatchTask:
 # model
 # ---------------------------------------------------------------------------
 
-class PatchModel:
+class PatchModel(Module):
     """Backbone plus a 1x1 conv head emitting one presence logit per cell."""
 
     def __init__(self, cfg: ExperimentConfig, dtype=np.float32):
@@ -147,13 +147,6 @@ class PatchModel:
                             rng.uniform(-bound, bound, (1, c_last, 1, 1)).astype(dtype))
         self.head_b = Param("head/bias", np.zeros((1,), dtype=dtype))
         self._tape = None
-
-    def parameters(self):
-        return self.backbone.parameters() + [self.head_w, self.head_b]
-
-    def named_tensors(self):
-        return self.backbone.named_tensors() + \
-            [(self.head_w.name, self.head_w.value), (self.head_b.name, self.head_b.value)]
 
     def forward(self, x: Tensor4, training: bool = True) -> np.ndarray:
         """Returns per-cell logits of shape (n, 1, grid, grid)."""
@@ -176,7 +169,7 @@ def bce_with_logits(logits: np.ndarray, labels: np.ndarray):
     z = logits
     # log(1 + exp(-|z|)) is the stable softplus core
     loss = np.maximum(z, 0.0) - z * labels + np.log1p(np.exp(-np.abs(z)))
-    p = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
+    p = clipped_sigmoid(z)
     grad = (p - labels) / z.size
     return float(loss.mean()), grad.astype(logits.dtype)
 
@@ -305,7 +298,7 @@ def load_model_checkpoint(path) -> tuple[PatchModel, ExperimentConfig, dict]:
 # evaluation and the resolution sweep
 # ---------------------------------------------------------------------------
 
-def _refine_cell_box(image: np.ndarray, gy: int, gx: int, cell: int) -> BBox | None:
+def _refine_cell_box(image: np.ndarray, gy: int, gx: int, cell: int) -> BBox:
     """Localize the bright blob inside a confident cell: bounding box of the
     pixels within 0.15 of the cell's peak brightness."""
     patch = image.mean(axis=0)[gy * cell:(gy + 1) * cell, gx * cell:(gx + 1) * cell]
@@ -316,13 +309,13 @@ def _refine_cell_box(image: np.ndarray, gy: int, gx: int, cell: int) -> BBox | N
     return BBox(float(x1), float(y1), float(x2), float(y2), class_id=0)
 
 
-def model_detections(model: PatchModel, task: SyntheticPatchTask,
+def model_detections(logits: np.ndarray, task: SyntheticPatchTask,
                      li: LabeledImage, threshold: float = 0.5) -> list[BBox]:
-    """One detection per confident cell, localized to the bright blob."""
+    """One detection per confident cell of ``li``'s model logits (shape
+    (1, 1, grid, grid)), localized to the bright blob."""
     from dataclasses import replace as dc_replace
 
-    logits = model.forward(li.image, training=False)
-    probs = 1.0 / (1.0 + np.exp(-logits[0, 0]))
+    probs = clipped_sigmoid(logits[0, 0])
     out = []
     for gy in range(task.grid):
         for gx in range(task.grid):
@@ -340,9 +333,9 @@ def evaluate_model(model: PatchModel, task: SyntheticPatchTask, n_images: int = 
     correct = total = 0
     for i in range(n_images):
         li = task.sample(seed_base + i)
-        gts_by_image.append(li.boxes)
-        preds_by_image.append(model_detections(model, task, li))
         logits = model.forward(li.image, training=False)
+        gts_by_image.append(li.boxes)
+        preds_by_image.append(model_detections(logits, task, li))
         labels = task.label_grid(li)[None]
         correct += ((logits > 0) == (labels > 0.5)).sum()
         total += labels.size

@@ -39,6 +39,10 @@ class TestGateMultiplier:
         assert gate_multiplier(GateKind.RESIDUAL_TANH, 50.0) == pytest.approx(2.0)
         assert gate_multiplier(GateKind.RESIDUAL_TANH, -50.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_sigmoid_saturates_without_overflow(self):
+        assert 0.0 < gate_multiplier(GateKind.SIGMOID_ORIGINAL, -1000.0) < 1e-25
+        assert gate_multiplier(GateKind.SIGMOID_ORIGINAL, 1000.0) == 1.0
+
     def test_ranges(self):
         for z in np.linspace(-10, 10, 41):
             s = gate_multiplier(GateKind.SIGMOID_ORIGINAL, z)

@@ -213,6 +213,28 @@ class TestEvaluateModel:
         assert acc > 0.9
         assert metrics.ap50 > 0.5
 
+    def test_one_forward_per_image(self, monkeypatch):
+        calls = []
+        forward = PatchModel.forward
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(PatchModel, "forward", counted)
+        model = PatchModel(ExperimentConfig(seed=7))
+        metrics, acc = evaluate_model(model, SyntheticPatchTask(64), n_images=8)
+        assert len(calls) == 8
+        # pinned: reusing the detection logits for accuracy changes no metric
+        assert metrics.as_dict() == {
+            "ap50": float.fromhex("0x1.6e1c06aabfbccp-1"),
+            "ap75": float.fromhex("0x1.6e1c06aabfbccp-1"),
+            "ap": float.fromhex("0x1.6e1c06aabfbcdp-1"),
+            "recall": 1.0,
+            "precision": 0.625,
+        }
+        assert acc == 19 / 32
+
     def test_sweep_rows_structure(self):
         rows = resolution_sweep(tiny_cfg(epochs=1, steps_per_epoch=2), [64],
                                 n_eval_images=2)
