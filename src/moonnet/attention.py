@@ -22,13 +22,14 @@ from .tensor import (
     broadcast_mul,
     channel_reduce_avg,
     channel_reduce_max,
-    clipped_sigmoid,
     concat_channels,
     conv2d,
     fc,
     global_avg_pool,
     global_max_pool,
     relu,
+    sigmoid,
+    tanh_act,
 )
 
 __all__ = [
@@ -56,18 +57,9 @@ def gate_multiplier(kind: GateKind, logit: float) -> float:
 def gate_tensor(z: Tensor4, kind: GateKind):
     """Tensor gate with backward; returns (multiplier, backward)."""
     if kind is GateKind.SIGMOID_ORIGINAL:
-        s = mult = clipped_sigmoid(z.values)
-
-        def backward(g):
-            return (g * s * (1.0 - s),)
-    else:
-        t = np.tanh(z.values)
-        mult = 1.0 + t
-
-        def backward(g):
-            return (g * (1.0 - t * t),)
-
-    return Tensor4(mult), backward
+        return sigmoid(z)
+    t, backward = tanh_act(z)  # d(1 + tanh)/dz = d tanh/dz
+    return Tensor4(1.0 + t.values), backward
 
 
 def bottleneck_width(channels: int, reduction: int) -> int:
@@ -96,7 +88,6 @@ class SEBlock(Module):
         self.channels = channels
         self.m = bottleneck_width(channels, reduction)
         self.gate = gate
-        self.dtype = np.dtype(dtype)
         if rng is None:
             rng = np.random.default_rng(0)
         self.w1 = Param(f"{name}/w1", _uniform_init(rng, (self.m, channels), channels, dtype))
@@ -153,7 +144,6 @@ class CBAMBlock(Module):
         self.m = bottleneck_width(channels, reduction)
         self.k = kernel_size
         self.gate = gate
-        self.dtype = np.dtype(dtype)
         if rng is None:
             rng = np.random.default_rng(0)
         self.w1 = Param(f"{name}/w1", _uniform_init(rng, (self.m, channels), channels, dtype))
@@ -233,7 +223,7 @@ def identity_safe_init(module, seed: int = 0):
     a pure halving (sigmoid gate): first projection seeded uniform with bound
     1/sqrt(fan_in), every last projection zeroed."""
     rng = np.random.default_rng(seed)
-    dtype = module.dtype
+    dtype = module.w1.value.dtype
     module.w1.value[...] = _uniform_init(rng, module.w1.value.shape, module.channels, dtype)
     module.b1.value[...] = _uniform_init(rng, module.b1.value.shape, module.channels, dtype)
     module.w2.value[...] = 0.0

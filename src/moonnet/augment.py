@@ -184,37 +184,33 @@ def apply_package(pkg: AugmentPackage, li: LabeledImage, seed: int) -> LabeledIm
 def _parse_line(line: str, class_ids: dict[str, int]):
     parts = line.split()
     if len(parts) == 10:
-        try:
-            coords = [float(p) for p in parts[:8]]
-            difficult = bool(int(parts[9]))
-        except ValueError as e:
-            raise AnnotationError(f"bad DOTA line: {line!r}") from e
-        name = parts[8]
-        cid = class_ids.setdefault(name, len(class_ids))
+        coords = [float(p) for p in parts[:8]]
+        difficult = bool(int(parts[9]))
+        cid = class_ids.setdefault(parts[8], len(class_ids))
         xs, ys = coords[0::2], coords[1::2]
         return BBox(min(xs), min(ys), max(xs), max(ys), cid, difficult=difficult)
     if len(parts) in (5, 6):
-        try:
-            x1, y1, x2, y2 = (float(p) for p in parts[:4])
-            cid = int(parts[4])
-            score = float(parts[5]) if len(parts) == 6 else None
-        except ValueError as e:
-            raise AnnotationError(f"bad annotation line: {line!r}") from e
-        return BBox(x1, y1, x2, y2, cid, score=score)
-    raise AnnotationError(f"unrecognized annotation line: {line!r}")
+        x1, y1, x2, y2 = (float(p) for p in parts[:4])
+        score = float(parts[5]) if len(parts) == 6 else None
+        return BBox(x1, y1, x2, y2, int(parts[4]), score=score)
+    raise ValueError(f"expected 5, 6 or 10 fields, got {len(parts)}")
 
 
 def load_annotations(path, class_ids: dict[str, int] | None = None) -> list[BBox]:
     """Parse one annotation file; ``class_ids`` maps DOTA class names to ids
-    and is extended in place as new names appear."""
+    and is extended in place as new names appear.  Any malformed line raises
+    AnnotationError naming ``file:line``."""
     if class_ids is None:
         class_ids = {}
     boxes = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        boxes.append(_parse_line(line, class_ids))
+        try:
+            boxes.append(_parse_line(line, class_ids))
+        except ValueError as e:
+            raise AnnotationError(f"{path}:{lineno}: {e}: {line!r}") from e
     return boxes
 
 

@@ -56,6 +56,7 @@ class AttentionKind(enum.Enum):
     CBAM = "cbam"
 
 
+IN_CHANNELS = 3  # RGB
 BASE_LADDER = (64, 128, 256, 512, 1024)
 DOUBLED_LADDER = (128, 256, 512, 1024, 2048)
 
@@ -82,9 +83,7 @@ class StageSpec:
 
 @dataclass
 class BackboneDesign:
-    design_id: int
     stages: list[StageSpec]
-    width_multiplier: float = 1.0
     gate: GateKind = GateKind.RESIDUAL_TANH
     reduction: int = 16
     spatial_kernel: int = 7
@@ -119,9 +118,8 @@ def build_design(design_id: int, width_multiplier: float = 1.0,
                   has_c2f=(i > 0))
         for i, (c, kind) in enumerate(zip(ladder, kinds))
     ]
-    return BackboneDesign(design_id=design_id, stages=stages,
-                          width_multiplier=width_multiplier, gate=gate,
-                          reduction=reduction, spatial_kernel=spatial_kernel)
+    return BackboneDesign(stages=stages, gate=gate, reduction=reduction,
+                          spatial_kernel=spatial_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +134,14 @@ def _conv_init(rng, c_out, c_in, k, dtype):
 class ConvBlock(Module):
     """conv -> batchnorm -> SiLU."""
 
-    def __init__(self, c_in, c_out, k=3, stride=1, pad=None, rng=None,
-                 dtype=np.float32, name="conv"):
-        if pad is None:
-            pad = (k - 1) // 2
-        self.stride, self.pad = stride, pad
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, c_in, c_out, k, rng, dtype, name, stride=1):
+        self.stride, self.pad = stride, (k - 1) // 2
         self.weight = Param(f"{name}/weight", _conv_init(rng, c_out, c_in, k, dtype))
         self.bias = Param(f"{name}/bias", np.zeros((c_out,), dtype=dtype))
         self.gamma = Param(f"{name}/bn_gamma", np.ones((c_out,), dtype=dtype))
         self.beta = Param(f"{name}/bn_beta", np.zeros((c_out,), dtype=dtype))
         self.running_mean = np.zeros((c_out,), dtype=dtype)
         self.running_var = np.ones((c_out,), dtype=dtype)
-        self.eps = 1e-5
         self._tape = None
 
     def named_tensors(self):
@@ -160,9 +152,8 @@ class ConvBlock(Module):
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         y, bw_conv = conv2d(x, self.weight.value, self.bias.value,
                             stride=self.stride, pad=self.pad)
-        y, bw_bn = batchnorm(y, self.gamma.value, self.beta.value, self.eps,
-                             training=training, running_mean=self.running_mean,
-                             running_var=self.running_var)
+        y, bw_bn = batchnorm(y, self.gamma.value, self.beta.value, training=training,
+                             running_mean=self.running_mean, running_var=self.running_var)
         y, bw_act = silu(y)
         self._tape = (bw_conv, bw_bn, bw_act)
         return y
@@ -182,9 +173,9 @@ class ConvBlock(Module):
 class Bottleneck(Module):
     """Two 3x3 conv blocks with a residual add (channel-preserving)."""
 
-    def __init__(self, channels, rng=None, dtype=np.float32, name="bneck"):
-        self.cv1 = ConvBlock(channels, channels, 3, rng=rng, dtype=dtype, name=f"{name}/cv1")
-        self.cv2 = ConvBlock(channels, channels, 3, rng=rng, dtype=dtype, name=f"{name}/cv2")
+    def __init__(self, channels, rng, dtype, name):
+        self.cv1 = ConvBlock(channels, channels, 3, rng, dtype, f"{name}/cv1")
+        self.cv2 = ConvBlock(channels, channels, 3, rng, dtype, f"{name}/cv2")
         self._tape = None
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
@@ -205,13 +196,13 @@ class C2f(Module):
     """Simplified split/bottleneck/concat block: 1x1 conv, split in half,
     run one bottleneck on the second half, concat, 1x1 conv."""
 
-    def __init__(self, channels, rng=None, dtype=np.float32, name="c2f"):
+    def __init__(self, channels, rng, dtype, name):
         if channels % 2:
             raise ConfigError(f"C2f needs an even channel count, got {channels}")
         self.channels = channels
-        self.cv1 = ConvBlock(channels, channels, 1, rng=rng, dtype=dtype, name=f"{name}/cv1")
-        self.block = Bottleneck(channels // 2, rng=rng, dtype=dtype, name=f"{name}/b0")
-        self.cv2 = ConvBlock(channels, channels, 1, rng=rng, dtype=dtype, name=f"{name}/cv2")
+        self.cv1 = ConvBlock(channels, channels, 1, rng, dtype, f"{name}/cv1")
+        self.block = Bottleneck(channels // 2, rng, dtype, f"{name}/b0")
+        self.cv2 = ConvBlock(channels, channels, 1, rng, dtype, f"{name}/cv2")
         self._tape = None
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
@@ -244,19 +235,18 @@ def _make_attention(kind: AttentionKind, channels: int, gate: GateKind, reductio
 class Stage(Module):
     """stride-2 conv block -> attention -> optional C2f."""
 
-    def __init__(self, c_in, spec: StageSpec, design: BackboneDesign, seed, idx,
-                 dtype=np.float32):
+    def __init__(self, c_in, spec: StageSpec, design: BackboneDesign, seed, idx, dtype):
         # dedicated streams per component so attention draws never shift the
         # conv weights between designs
         conv_rng = np.random.default_rng([seed, idx, 0])
         att_rng = np.random.default_rng([seed, idx, 1])
         c2f_rng = np.random.default_rng([seed, idx, 2])
-        self.conv = ConvBlock(c_in, spec.out_channels, 3, stride=2, rng=conv_rng,
-                              dtype=dtype, name=f"stage{idx}/conv")
+        self.conv = ConvBlock(c_in, spec.out_channels, 3, conv_rng, dtype,
+                              f"stage{idx}/conv", stride=2)
         self.attention = _make_attention(spec.attention, spec.out_channels, design.gate,
                                          design.reduction, design.spatial_kernel,
                                          att_rng, dtype, name=f"stage{idx}/att")
-        self.c2f = (C2f(spec.out_channels, rng=c2f_rng, dtype=dtype, name=f"stage{idx}/c2f")
+        self.c2f = (C2f(spec.out_channels, c2f_rng, dtype, f"stage{idx}/c2f")
                     if spec.has_c2f else None)
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
@@ -278,12 +268,9 @@ class Stage(Module):
 class Backbone(Module):
     """Full stage pipeline; forward emits every stage output for pyramid use."""
 
-    def __init__(self, design: BackboneDesign, seed: int = 0, in_channels: int = 3,
-                 dtype=np.float32):
-        self.design = design
-        self.in_channels = in_channels
+    def __init__(self, design: BackboneDesign, seed: int = 0, dtype=np.float32):
         self.stages = []
-        c = in_channels
+        c = IN_CHANNELS
         for i, spec in enumerate(design.stages):
             self.stages.append(Stage(c, spec, design, seed, i, dtype=dtype))
             c = spec.out_channels
@@ -292,8 +279,8 @@ class Backbone(Module):
         return sum(p.value.size for p in self.parameters())
 
     def forward(self, x: Tensor4, training: bool = True) -> list[Tensor4]:
-        if x.c != self.in_channels:
-            raise ShapeError(f"backbone expects {self.in_channels} input channels, got {x.c}")
+        if x.c != IN_CHANNELS:
+            raise ShapeError(f"backbone expects {IN_CHANNELS} input channels, got {x.c}")
         div = 2 ** len(self.stages)
         if x.h % div or x.w % div:
             raise ShapeError(f"input {x.h}x{x.w} not divisible by {div}")

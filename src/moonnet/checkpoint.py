@@ -18,6 +18,7 @@ byte-exact.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -86,7 +87,14 @@ def save_checkpoint(tensors: list[tuple[str, np.ndarray]], path):
         parts.append(arr.tobytes())
     body = b"".join(parts)
     crc = zlib.crc32(body) & 0xFFFFFFFF
-    Path(path).write_bytes(body + struct.pack("<I", crc))
+    # write a sibling and rename it over path, so a failed save leaves no partial file
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(body + struct.pack("<I", crc))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> list[tuple[str, np.ndarray]]:

@@ -1,23 +1,27 @@
 """Command-line entry point.
 
 Subcommands: train, gradcheck, evaluate, augment-preview, stats, sweep.
-Every flag has a config-file equivalent via ``--config`` (flat key=value).
+The config flags of train and sweep are the config-file keys with dashes
+(``--steps-per-epoch``; ``--design`` and ``--size`` alias ``--design-id`` and
+``--input-size``) and override a ``--config`` file (flat key=value).
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import gradcheck as gc
-from .augment import AnnotationError, AugmentPackage, load_annotations, save_annotations
-from .backbone import ConfigError
+from .augment import (AnnotationError, AugmentPackage, apply_package, load_annotations,
+                      save_annotations)
 from .checkpoint import CheckpointError
-from .config import ExperimentConfig, load_config_file
+from .config import CODECS, ConfigError, ExperimentConfig, load_config_file, set_field
 from .metrics import evaluate, mean_box_area
 from .train import (
     SyntheticPatchTask,
@@ -28,40 +32,30 @@ from .train import (
     train,
 )
 
-_GATE_CHOICES = ["sigmoid", "residual-tanh"]
-_AUG_CHOICES = ["ver1", "ver2", "ver3"]
+_ALIASES = {"design_id": ["--design"], "input_size": ["--size"]}
+
+
+def _choices(kind) -> list[str] | None:
+    """The text of every member of an enum field type; None for numbers."""
+    return [CODECS[kind][1](m) for m in kind] if issubclass(kind, enum.Enum) else None
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
+    """One flag per config field, ``--key-with-dashes``, taking the key's text."""
     p.add_argument("--config", type=Path, help="key=value config file")
-    p.add_argument("--design", type=int, dest="design_id")
-    p.add_argument("--gate", choices=_GATE_CHOICES)
-    p.add_argument("--width", type=float)
-    p.add_argument("--size", type=int, dest="input_size")
-    p.add_argument("--augment", choices=_AUG_CHOICES)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--steps-per-epoch", type=int, dest="steps_per_epoch")
-    p.add_argument("--seed", type=int)
+    for f in dataclasses.fields(ExperimentConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), *_ALIASES.get(f.name, []),
+                       dest=f.name, choices=_choices(f.type))
 
 
 def _build_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config is not None:
         cfg = load_config_file(args.config, cfg)
-    from .config import _GATES, _PACKAGES  # parsing tables
-
-    for key in ("design_id", "width", "input_size", "lr", "momentum", "batch",
-                "epochs", "steps_per_epoch", "seed"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, v)
-    if getattr(args, "gate", None) is not None:
-        cfg.gate = _GATES[args.gate]
-    if getattr(args, "augment", None) is not None:
-        cfg.augment = _PACKAGES[args.augment]
+    for f in dataclasses.fields(cfg):
+        text = getattr(args, f.name)
+        if text is not None:
+            set_field(cfg, f.name, text)
     return cfg.validate()
 
 
@@ -86,7 +80,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    reports = gc.run_full_suite(args.seed if args.seed is not None else 0)
+    reports = gc.run_full_suite(args.seed)
     print(gc.format_reports(reports))
     return 0 if all(r.passed for r in reports) else 2
 
@@ -109,12 +103,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_augment_preview(args) -> int:
-    pkg = {"ver1": AugmentPackage.VER1, "ver2": AugmentPackage.VER2,
-           "ver3": AugmentPackage.VER3}[args.package]
+    pkg = CODECS[AugmentPackage][0](args.package)
     task = SyntheticPatchTask(args.size, AugmentPackage.VER1)
     li = task.sample(args.seed)
-    from .augment import apply_package
-
     out = apply_package(pkg, li, args.seed)
     print(f"{args.package}: {len(li.boxes)} boxes in, {len(out.boxes)} out; "
           f"image {out.height}x{out.width}")
@@ -145,11 +136,7 @@ def cmd_stats(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _build_config(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    for s in sizes:
-        if s % 32:
-            raise ConfigError(f"sweep size {s} not divisible by 32")
-    rows = resolution_sweep(cfg, sizes)
+    rows = resolution_sweep(cfg, [int(s) for s in args.sizes.split(",")])
     print(format_sweep_table(rows))
     return 0
 
@@ -179,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("augment-preview", help="apply an augmentation package to a sample")
-    p.add_argument("--package", choices=_AUG_CHOICES, default="ver3")
+    p.add_argument("--package", choices=_choices(AugmentPackage), default="ver3")
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, help="basename for .npy image and .txt boxes")

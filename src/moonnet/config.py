@@ -1,19 +1,26 @@
-"""Experiment configuration: flat key=value files and validation."""
+"""Experiment configuration: flat key=value files and validation.
 
-from __future__ import annotations
+``ExperimentConfig`` is the only statement of the schema: the file parser,
+``to_text()`` and the CLI flags walk its fields and convert through ``CODECS``.
+"""
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .attention import GateKind
 from .augment import AugmentPackage
 from .backbone import ConfigError
 
-__all__ = ["ExperimentConfig", "parse_config_text", "load_config_file", "ConfigError"]
+__all__ = ["ExperimentConfig", "CODECS", "set_field", "parse_config_text",
+           "load_config_file", "ConfigError"]
 
-_GATES = {g.value: g for g in GateKind}
-_PACKAGES = {"ver1": AugmentPackage.VER1, "ver2": AugmentPackage.VER2,
-             "ver3": AugmentPackage.VER3}
+# field type -> (parse from text, format as text)
+CODECS = {
+    int: (int, str),
+    float: (float, str),
+    GateKind: (GateKind, lambda g: g.value),
+    AugmentPackage: (lambda s: AugmentPackage[s.upper()], lambda a: a.name.lower()),
+}
 
 
 @dataclass
@@ -37,25 +44,36 @@ class ExperimentConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch < 1:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
+        # batchnorm in the (input_size/32)^2-pixel last stage needs two values per channel
+        if self.batch * (self.input_size // 32) ** 2 < 2:
+            raise ConfigError(f"batch * (input_size / 32)^2 must be >= 2, got {self.batch} "
+                              f"* ({self.input_size} / 32)^2")
         if not 0 <= self.design_id <= 6:
             raise ConfigError(f"design_id must be in 0..6, got {self.design_id}")
         if not 0.0 < self.width <= 1.0:
             raise ConfigError(f"width must be in (0, 1], got {self.width}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.epochs < 0 or self.steps_per_epoch < 1:
-            raise ConfigError("epochs must be >= 0 and steps_per_epoch >= 1")
+        if self.epochs < 1 or self.steps_per_epoch < 1:
+            raise ConfigError("epochs and steps_per_epoch must be >= 1")
         return self
 
     def to_text(self) -> str:
-        d = asdict(self)
-        d["gate"] = self.gate.value
-        d["augment"] = self.augment.name.lower()
-        return "\n".join(f"{k}={v}" for k, v in d.items()) + "\n"
+        return "".join(f"{f.name}={CODECS[f.type][1](getattr(self, f.name))}\n"
+                       for f in fields(self))
 
 
-_INT_KEYS = {"design_id", "input_size", "batch", "epochs", "steps_per_epoch", "seed"}
-_FLOAT_KEYS = {"width", "lr", "momentum"}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def set_field(cfg: ExperimentConfig, key: str, text: str):
+    """Set one config field from its text form."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown key {key!r}")
+    try:
+        setattr(cfg, key, CODECS[_FIELD_TYPES[key]][0](text))
+    except (ValueError, KeyError) as e:
+        raise ConfigError(f"bad value for {key!r}: {text!r}") from e
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -69,18 +87,9 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         try:
-            if key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key == "gate":
-                cfg.gate = _GATES[value]
-            elif key == "augment":
-                cfg.augment = _PACKAGES[value.lower()]
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except (ValueError, KeyError) as e:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from e
+            set_field(cfg, key, value)
+        except ConfigError as e:
+            raise ConfigError(f"line {lineno}: {e}") from e
     return cfg
 
 

@@ -55,8 +55,7 @@ class MatchResult:
     n_gt: int  # non-difficult ground truths
 
 
-def match_detections(preds: list[BBox], gts: list[BBox], iou_thresh: float,
-                     ignore_difficult: bool = True) -> MatchResult:
+def match_detections(preds: list[BBox], gts: list[BBox], iou_thresh: float) -> MatchResult:
     """Greedy matching: predictions in descending score order (ties broken by
     input order) each claim the highest-IoU unmatched same-class GT with
     IoU >= threshold.  A match to a difficult GT counts as neither TP nor FP.
@@ -78,7 +77,7 @@ def match_detections(preds: list[BBox], gts: list[BBox], iou_thresh: float,
         if best_j >= 0:
             taken[best_j] = True
             matched_gt[pi] = best_j
-            if ignore_difficult and gts[best_j].difficult:
+            if gts[best_j].difficult:
                 tp.append(False)
                 ignored.append(True)
             else:
@@ -87,7 +86,7 @@ def match_detections(preds: list[BBox], gts: list[BBox], iou_thresh: float,
         else:
             tp.append(False)
             ignored.append(False)
-    n_gt = sum(1 for g in gts if not (ignore_difficult and g.difficult))
+    n_gt = sum(1 for g in gts if not g.difficult)
     return MatchResult(order, tp, ignored, matched_gt, n_gt)
 
 

@@ -334,7 +334,7 @@ def clipped_sigmoid(v: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Tensor4):
-    s = _stable_sigmoid(x.values)
+    s = clipped_sigmoid(x.values)
 
     def backward(g):
         return (g * s * (1.0 - s),)

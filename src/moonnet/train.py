@@ -9,16 +9,15 @@ image, matching the backbone's final-stage grid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .attention import GateKind
 from .augment import AugmentPackage, BBox, LabeledImage, apply_package
 from .backbone import Backbone, build_design
 from .checkpoint import META_PREFIX, bytes_to_tensor, load_checkpoint, save_checkpoint, tensor_to_bytes
-from .config import ExperimentConfig
+from .config import ExperimentConfig, parse_config_text
 from .metrics import EvalResult, evaluate
 from .tensor import Module, Param, Tensor4, clipped_sigmoid, conv2d
 
@@ -81,16 +80,14 @@ class SyntheticPatchTask:
 
     CELL = 32
     PATCH_SIDES = (3, 4, 5, 6, 7)
+    PATCH_PROB = 0.5
 
-    def __init__(self, image_size: int = 64, augment: AugmentPackage = AugmentPackage.VER1,
-                 patch_prob: float = 0.5, dtype=np.float32):
+    def __init__(self, image_size: int = 64, augment: AugmentPackage = AugmentPackage.VER1):
         if image_size % self.CELL:
             raise ValueError(f"image size must be a multiple of {self.CELL}")
         self.size = image_size
         self.grid = image_size // self.CELL
         self.augment = augment
-        self.patch_prob = patch_prob
-        self.dtype = np.dtype(dtype)
 
     def sample(self, seed: int) -> LabeledImage:
         rng = np.random.default_rng([seed, 17])
@@ -101,14 +98,14 @@ class SyntheticPatchTask:
         boxes = []
         for gy in range(self.grid):
             for gx in range(self.grid):
-                if rng.random() >= self.patch_prob:
+                if rng.random() >= self.PATCH_PROB:
                     continue
                 side = int(rng.choice(self.PATCH_SIDES))
                 y0 = gy * self.CELL + int(rng.integers(1, self.CELL - side - 1))
                 x0 = gx * self.CELL + int(rng.integers(1, self.CELL - side - 1))
                 img[:, y0:y0 + side, x0:x0 + side] += rng.uniform(0.7, 1.0)
                 boxes.append(BBox(x0, y0, x0 + side, y0 + side, class_id=0))
-        img = np.clip(img, 0.0, 1.0).astype(self.dtype)
+        img = np.clip(img, 0.0, 1.0).astype(np.float32)
         li = LabeledImage(Tensor4(img[None]), boxes)
         if self.augment is not AugmentPackage.VER1:
             li = apply_package(self.augment, li, seed)
@@ -116,7 +113,7 @@ class SyntheticPatchTask:
 
     def label_grid(self, li: LabeledImage) -> np.ndarray:
         """Per-cell presence from box centers, shape (1, grid, grid)."""
-        lab = np.zeros((1, self.grid, self.grid), dtype=self.dtype)
+        lab = np.zeros((1, self.grid, self.grid), dtype=np.float32)
         for b in li.boxes:
             cx = int((b.x1 + b.x2) / 2) // self.CELL
             cy = int((b.y1 + b.y2) / 2) // self.CELL
@@ -137,15 +134,15 @@ class SyntheticPatchTask:
 class PatchModel(Module):
     """Backbone plus a 1x1 conv head emitting one presence logit per cell."""
 
-    def __init__(self, cfg: ExperimentConfig, dtype=np.float32):
+    def __init__(self, cfg: ExperimentConfig):
         design = build_design(cfg.design_id, cfg.width, cfg.gate)
-        self.backbone = Backbone(design, seed=cfg.seed, dtype=dtype)
+        self.backbone = Backbone(design, seed=cfg.seed)
         c_last = design.stages[-1].out_channels
         rng = np.random.default_rng([cfg.seed, 1000])
         bound = 1.0 / np.sqrt(c_last)
         self.head_w = Param("head/weight",
-                            rng.uniform(-bound, bound, (1, c_last, 1, 1)).astype(dtype))
-        self.head_b = Param("head/bias", np.zeros((1,), dtype=dtype))
+                            rng.uniform(-bound, bound, (1, c_last, 1, 1)).astype(np.float32))
+        self.head_b = Param("head/bias", np.zeros((1,), dtype=np.float32))
         self._tape = None
 
     def forward(self, x: Tensor4, training: bool = True) -> np.ndarray:
@@ -244,13 +241,11 @@ def train(cfg: ExperimentConfig, out_dir=None, target_accuracy: float | None = N
                 and float(np.mean(accs[-20:])) >= target_accuracy:
             break
 
-    final_acc = float(np.mean(accs[-20:])) if accs else 0.0
+    final_acc = float(np.mean(accs[-20:]))
     if out_dir is not None:
         save_model_checkpoint(model, cfg, ckpt_path, rng=data_rng)
         if best_state is not None:
-            meta = [(META_PREFIX + "config", bytes_to_tensor(cfg.to_text().encode())),
-                    (META_PREFIX + "rng", bytes_to_tensor(_rng_state_bytes(data_rng)))]
-            save_checkpoint(meta + best_state, best_path)
+            save_checkpoint(_meta_tensors(cfg, data_rng) + best_state, best_path)
         log = "\n".join(f"{i} {l:.6f} {a:.4f}"
                         for i, (l, a) in enumerate(zip(losses, accs)))
         (out_dir / "train_log.txt").write_text("step loss accuracy\n" + log + "\n")
@@ -270,17 +265,17 @@ def _rng_state_bytes(rng: np.random.Generator | None) -> bytes:
     return json.dumps(state, default=str, sort_keys=True).encode()
 
 
+def _meta_tensors(cfg: ExperimentConfig, rng: np.random.Generator | None):
+    return [(META_PREFIX + "config", bytes_to_tensor(cfg.to_text().encode())),
+            (META_PREFIX + "rng", bytes_to_tensor(_rng_state_bytes(rng)))]
+
+
 def save_model_checkpoint(model: PatchModel, cfg: ExperimentConfig, path,
                           rng: np.random.Generator | None = None):
-    tensors = [(META_PREFIX + "config", bytes_to_tensor(cfg.to_text().encode())),
-               (META_PREFIX + "rng", bytes_to_tensor(_rng_state_bytes(rng)))]
-    tensors += [(name, arr) for name, arr in model.named_tensors()]
-    save_checkpoint(tensors, path)
+    save_checkpoint(_meta_tensors(cfg, rng) + model.named_tensors(), path)
 
 
 def load_model_checkpoint(path) -> tuple[PatchModel, ExperimentConfig, dict]:
-    from .config import parse_config_text
-
     tensors = load_checkpoint(path)
     by_name = dict(tensors)
     cfg = parse_config_text(tensor_to_bytes(by_name[META_PREFIX + "config"]).decode())
@@ -313,8 +308,6 @@ def model_detections(logits: np.ndarray, task: SyntheticPatchTask,
                      li: LabeledImage, threshold: float = 0.5) -> list[BBox]:
     """One detection per confident cell of ``li``'s model logits (shape
     (1, 1, grid, grid)), localized to the bright blob."""
-    from dataclasses import replace as dc_replace
-
     probs = clipped_sigmoid(logits[0, 0])
     out = []
     for gy in range(task.grid):
@@ -322,7 +315,7 @@ def model_detections(logits: np.ndarray, task: SyntheticPatchTask,
             p = float(probs[gy, gx])
             if p >= threshold:
                 box = _refine_cell_box(li.image.values[0], gy, gx, task.CELL)
-                out.append(dc_replace(box, score=p))
+                out.append(replace(box, score=p))
     return out
 
 
@@ -347,19 +340,16 @@ def resolution_sweep(base_cfg: ExperimentConfig, sizes: list[int],
                      n_eval_images: int = 16) -> list[dict]:
     """Train and evaluate one model per input size; returns table rows with
     the full metric block per size (protocol mirror of the published
-    resolution comparison, not its GPU-scale numbers)."""
-    from dataclasses import replace as dc_replace
-
+    resolution comparison, not its GPU-scale numbers).  Every size is
+    validated before the first one trains."""
+    cfgs = [replace(base_cfg, input_size=size).validate() for size in sizes]
     rows = []
-    for size in sizes:
-        cfg = dc_replace(base_cfg, input_size=size)
-        cfg.validate()
+    for cfg in cfgs:
         result = train(cfg, out_dir=None)
         task = SyntheticPatchTask(cfg.input_size, AugmentPackage.VER1)
         metrics, acc = evaluate_model(result.model, task, n_images=n_eval_images)
-        rows.append({"size": size, "steps": result.steps_run,
-                     "final_loss": result.losses[-1] if result.losses else float("nan"),
-                     "accuracy": acc, **metrics.as_dict()})
+        rows.append({"size": cfg.input_size, "steps": result.steps_run,
+                     "final_loss": result.losses[-1], "accuracy": acc, **metrics.as_dict()})
     return rows
 
 

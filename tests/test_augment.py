@@ -226,3 +226,12 @@ class TestAnnotationIO:
         p.write_text("1 2 3\n")
         with pytest.raises(AnnotationError):
             load_annotations(p)
+
+    @pytest.mark.parametrize("line", ["5 2 5 4 0",            # degenerate box
+                                      "1 nan 3 4 0",          # NaN coordinate
+                                      "1 2 3 4 0 1.5"])       # score outside [0, 1]
+    def test_bad_box_is_annotation_error_naming_line(self, tmp_path, line):
+        p = tmp_path / "bad.txt"
+        p.write_text("1 2 3 4 0\n" + line + "\n")
+        with pytest.raises(AnnotationError, match=r"bad\.txt:2: "):
+            load_annotations(p)

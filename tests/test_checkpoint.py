@@ -90,6 +90,20 @@ class TestRoundTrip:
         save_checkpoint([], p)
         assert load_checkpoint(p) == []
 
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.ckpt"
+        save_checkpoint(sample_tensors(0), p)
+        before = p.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("moonnet.checkpoint.os.replace", fail)
+        with pytest.raises(OSError):
+            save_checkpoint(sample_tensors(1), p)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["a.ckpt"]
+
 
 class TestCorruption:
     def test_bad_magic(self, tmp_path):

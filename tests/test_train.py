@@ -268,6 +268,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             dataclasses.replace(ExperimentConfig(), **kw).validate()
 
+    def test_default_text_pinned(self):
+        assert ExperimentConfig().to_text() == (
+            "design_id=5\ngate=residual-tanh\nwidth=0.25\ninput_size=64\naugment=ver1\n"
+            "lr=0.01\nmomentum=0.9\nbatch=4\nepochs=5\nsteps_per_epoch=100\nseed=0\n")
+
+    def test_augment_value_case_insensitive(self):
+        assert parse_config_text("augment=VER3\n").augment is AugmentPackage.VER3
+
+    def test_sweep_validates_every_size_before_training(self, monkeypatch):
+        import moonnet.train as mtrain
+
+        monkeypatch.setattr(mtrain, "train", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ConfigError, match="input_size"):
+            resolution_sweep(tiny_cfg(), [64, 50])
+
 
 class TestCli:
     def test_train_success_exit_zero(self, tmp_path, capsys):
@@ -282,6 +297,42 @@ class TestCli:
         rc = cli_main(["train", "--size", "50"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--epochs", "0"],
+                                      ["--size", "32", "--batch", "1"],
+                                      ["--lr", "fast"]])
+    def test_rejected_train_flags_exit_one(self, argv, capsys):
+        rc = cli_main(["train", *argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_size_32_trains_with_batch_2(self, capsys):
+        rc = cli_main(["train", "--size", "32", "--batch", "2", "--width", "0.125",
+                       "--epochs", "1", "--steps-per-epoch", "2"])
+        assert rc == 0
+        assert "trained 2 steps" in capsys.readouterr().out
+
+    def test_flags_are_config_keys(self):
+        from moonnet.cli import _build_config, build_parser
+
+        args = build_parser().parse_args(
+            ["train", "--design-id", "2", "--input-size", "96", "--gate", "sigmoid",
+             "--augment", "ver2", "--steps-per-epoch", "7"])
+        cfg = _build_config(args)
+        assert (cfg.design_id, cfg.input_size, cfg.gate, cfg.augment, cfg.steps_per_epoch) \
+            == (2, 96, GateKind.SIGMOID_ORIGINAL, AugmentPackage.VER2, 7)
+
+    @pytest.mark.parametrize("cmd", ["stats", "evaluate"])
+    def test_bad_annotation_exit_one(self, tmp_path, capsys, cmd):
+        d = tmp_path / "ann"
+        d.mkdir()
+        (d / "a.txt").write_text("5 2 5 4 0\n")
+        argv = [str(d)] if cmd == "stats" else ["--gt", str(d), "--preds", str(d)]
+        rc = cli_main([cmd, *argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "a.txt:1:" in err and err.count("\n") == 1
 
     def test_missing_annotation_dir_exit_one(self, tmp_path):
         rc = cli_main(["evaluate", "--gt", str(tmp_path / "none"),
