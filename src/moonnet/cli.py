@@ -136,7 +136,12 @@ def cmd_stats(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _build_config(args)
-    rows = resolution_sweep(cfg, [int(s) for s in args.sizes.split(",")])
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ConfigError(f"--sizes must be comma-separated integers, "
+                          f"got {args.sizes!r}") from None
+    rows = resolution_sweep(cfg, sizes)
     print(format_sweep_table(rows))
     return 0
 

@@ -38,8 +38,9 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self):
-        if self.input_size % 32:
-            raise ConfigError(f"input_size must be a multiple of 32, got {self.input_size}")
+        if self.input_size < 32 or self.input_size % 32:
+            raise ConfigError(f"input_size must be a positive multiple of 32, "
+                              f"got {self.input_size}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch < 1:

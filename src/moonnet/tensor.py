@@ -319,15 +319,6 @@ def relu(x: Tensor4):
     return Tensor4(out), backward
 
 
-def _stable_sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    e = np.exp(v[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def clipped_sigmoid(v: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-v)) with v clipped to [-60, 60], so exp never overflows."""
     return 1.0 / (1.0 + np.exp(-np.clip(v, -60.0, 60.0)))
@@ -353,11 +344,16 @@ def tanh_act(x: Tensor4):
 
 def silu(x: Tensor4):
     """x * sigmoid(x), the backbone activation."""
-    s = _stable_sigmoid(x.values)
+    s = clipped_sigmoid(x.values)
     out = x.values * s
 
     def backward(g):
-        return (g * (s + x.values * s * (1.0 - s)),)
+        # g * (s + x * s * (1 - s)), with x * s taken from the forward output
+        gx = 1.0 - s
+        gx *= out
+        gx += s
+        gx *= g
+        return (gx,)
 
     return Tensor4(out), backward
 
@@ -438,34 +434,34 @@ def batchnorm(x: Tensor4, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
     n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
+    m = n * h * w
+    mean = x.values.mean(axis=(0, 2, 3)) if training else running_mean
+    xhat = x.values - mean[None, :, None, None]
     if training:
-        mean = x.values.mean(axis=(0, 2, 3))
-        var = x.values.var(axis=(0, 2, 3))
+        var = np.square(xhat).sum(axis=(0, 2, 3)) / m
         if running_mean is not None:
             running_mean *= 1.0 - momentum
             running_mean += momentum * mean
             running_var *= 1.0 - momentum
             running_var += momentum * var
     else:
-        mean = running_mean
         var = running_var
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.values - mean[None, :, None, None]) * invstd[None, :, None, None]
+    xhat *= invstd[None, :, None, None]
     out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
-    m = n * h * w
 
     def backward(g):
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
+        gx = g * xhat
+        ggamma = gx.sum(axis=(0, 2, 3))
         gbeta = g.sum(axis=(0, 2, 3))
-        gxhat = g * gamma[None, :, None, None]
-        if training:
-            gx = (invstd[None, :, None, None] / m) * (
-                m * gxhat
-                - gxhat.sum(axis=(0, 2, 3), keepdims=True)
-                - xhat * (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            )
-        else:
-            gx = gxhat * invstd[None, :, None, None]
+        scale = (gamma * invstd)[None, :, None, None]
+        if not training:
+            return g * scale, ggamma, gbeta
+        # gamma * invstd * (g - gbeta / m - xhat * ggamma / m)
+        np.multiply(xhat, (ggamma / m)[None, :, None, None], out=gx)
+        np.subtract(g, gx, out=gx)
+        gx -= (gbeta / m)[None, :, None, None]
+        gx *= scale
         return gx, ggamma, gbeta
 
     return Tensor4(out), backward

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentPackage, BBox, LabeledImage, apply_package
-from .backbone import Backbone, build_design
+from .backbone import Backbone, ConfigError, build_design
 from .checkpoint import META_PREFIX, bytes_to_tensor, load_checkpoint, save_checkpoint, tensor_to_bytes
 from .config import ExperimentConfig, parse_config_text
 from .metrics import EvalResult, evaluate
@@ -83,8 +83,9 @@ class SyntheticPatchTask:
     PATCH_PROB = 0.5
 
     def __init__(self, image_size: int = 64, augment: AugmentPackage = AugmentPackage.VER1):
-        if image_size % self.CELL:
-            raise ValueError(f"image size must be a multiple of {self.CELL}")
+        if image_size < self.CELL or image_size % self.CELL:
+            raise ConfigError(f"image size must be a positive multiple of {self.CELL}, "
+                              f"got {image_size}")
         self.size = image_size
         self.grid = image_size // self.CELL
         self.augment = augment

@@ -1,5 +1,7 @@
 """Tensor-core operator tests against straight-line scalar oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,18 @@ class TestActivations:
         out, _ = T.sigmoid(x)
         assert np.all(np.isfinite(out.values))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_extreme_inputs_stay_finite_without_warnings(self, dtype):
+        x = Tensor4(np.array([-1000.0, 1000.0], dtype=dtype).reshape(1, 1, 1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out, bwd = T.silu(x)
+            (gx,) = bwd(np.ones_like(x.values))
+        assert out.dtype == gx.dtype == dtype
+        assert np.all(np.isfinite(out.values)) and np.all(np.isfinite(gx))
+        assert abs(out.values[0, 0, 0, 0]) < 1e-20 and out.values[0, 0, 0, 1] == 1000.0
+        assert abs(gx[0, 0, 0, 0]) < 1e-20 and gx[0, 0, 0, 1] == 1.0
+
 
 class TestBroadcastMul:
     def test_ones_gate_is_identity(self):
@@ -297,6 +311,66 @@ class TestStructural:
                              eps=0.0, training=False, running_mean=rm, running_var=rv)
         expected = (x.values - rm[None, :, None, None]) / np.sqrt(rv)[None, :, None, None]
         assert np.allclose(out.values, expected, atol=1e-6)
+
+
+def _batchnorm_backward_three_term(g, xhat, gamma, invstd, training):
+    """The textbook backward: gradient through xhat, minus its two projections."""
+    c = (None, slice(None), None, None)
+    m = g.shape[0] * g.shape[2] * g.shape[3]
+    gxhat = g * gamma[c]
+    if not training:
+        return gxhat * invstd[c]
+    return (invstd[c] / m) * (m * gxhat - gxhat.sum(axis=(0, 2, 3), keepdims=True)
+                              - xhat * (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True))
+
+
+class TestBatchnormClosedForm:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(4, 3, 8, 8), (2, 16, 5, 7), (8, 32, 2, 2), (1, 5, 6, 4)])
+    def test_backward_matches_three_term_formula(self, shape, training):
+        rng = np.random.default_rng(31)
+        c = shape[1]
+        x = rng.normal(1.5, 3.0, size=shape)
+        gamma = rng.standard_normal(c)
+        beta = rng.standard_normal(c)
+        running_mean = rng.standard_normal(c)
+        running_var = rng.uniform(0.5, 2.0, size=c)
+        g = rng.standard_normal(shape)
+        if training:
+            mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        else:
+            mean, var = running_mean, running_var
+        invstd = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (x - mean[None, :, None, None]) * invstd[None, :, None, None]
+        _, bwd = T.batchnorm(Tensor4(x), gamma, beta, training=training,
+                             running_mean=running_mean.copy(), running_var=running_var.copy())
+        gx, ggamma, gbeta = bwd(g)
+        ref = _batchnorm_backward_three_term(g, xhat, gamma, invstd, training)
+        assert gx.dtype == np.float64
+        assert np.abs(gx - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.allclose(ggamma, (g * xhat).sum(axis=(0, 2, 3)), rtol=1e-12, atol=0)
+        assert np.allclose(gbeta, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=0)
+
+    def test_training_forward_bit_equal_to_mean_var_reference(self):
+        rng = np.random.default_rng(32)
+        for shape in [(4, 32, 16, 16), (4, 8, 32, 32), (2, 64, 4, 4)]:
+            c = shape[1]
+            x = rng.normal(0.7, 2.5, size=shape).astype(np.float32)
+            gamma = rng.standard_normal(c).astype(np.float32)
+            beta = rng.standard_normal(c).astype(np.float32)
+            rm0 = rng.standard_normal(c).astype(np.float32)
+            rv0 = rng.uniform(0.5, 2.0, size=c).astype(np.float32)
+            rm, rv = rm0.copy(), rv0.copy()
+            out, _ = T.batchnorm(Tensor4(x), gamma, beta, training=True,
+                                 running_mean=rm, running_var=rv)
+            mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+            invstd = 1.0 / np.sqrt(var + 1e-5)
+            xhat = (x - mean[None, :, None, None]) * invstd[None, :, None, None]
+            ref = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+            assert out.dtype == np.float32
+            assert np.array_equal(out.values, ref)
+            assert np.array_equal(rm, (rm0 * np.float32(0.9)) + 0.1 * mean)
+            assert np.array_equal(rv, (rv0 * np.float32(0.9)) + 0.1 * var)
 
 
 class TestPoolingInvariants:

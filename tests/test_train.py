@@ -263,7 +263,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [dict(input_size=50), dict(lr=-1.0),
                                     dict(design_id=9), dict(width=0.0),
-                                    dict(momentum=1.0), dict(batch=0)])
+                                    dict(momentum=1.0), dict(batch=0),
+                                    dict(input_size=-32, batch=2)])
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):
             dataclasses.replace(ExperimentConfig(), **kw).validate()
@@ -300,12 +301,21 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [["--epochs", "0"],
                                       ["--size", "32", "--batch", "1"],
-                                      ["--lr", "fast"]])
+                                      ["--lr", "fast"],
+                                      ["--size", "-32", "--batch", "2"]])
     def test_rejected_train_flags_exit_one(self, argv, capsys):
         rc = cli_main(["train", *argv])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, names", [(["sweep", "--sizes", "64,x"], "--sizes"),
+                                             (["augment-preview", "--size", "50"], "got 50")])
+    def test_rejected_flags_exit_one(self, argv, names, capsys):
+        rc = cli_main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and names in err
 
     def test_size_32_trains_with_batch_2(self, capsys):
         rc = cli_main(["train", "--size", "32", "--batch", "2", "--width", "0.125",
