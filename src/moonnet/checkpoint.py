@@ -11,6 +11,9 @@ Layout (all little-endian):
         f32   values, row-major
     u32       CRC32 of every preceding byte
 
+Only float32 tensors are saved; any other dtype raises CheckpointError
+rather than being rounded to float32 on the way out.
+
 Arbitrary metadata (config echo, RNG state) rides along as byte blobs
 packed into float32 tensors with a length prefix, so round-trips are
 byte-exact.
@@ -43,7 +46,7 @@ META_PREFIX = "__meta__/"
 
 
 class CheckpointError(IOError):
-    """Base class for checkpoint load failures."""
+    """Base class for checkpoint save and load failures."""
 
 
 class BadMagicError(CheckpointError):
@@ -76,6 +79,9 @@ def save_checkpoint(tensors: list[tuple[str, np.ndarray]], path):
     """Write named tensors; order is preserved so re-saving is byte-identical."""
     parts = [MAGIC, struct.pack("<I", len(tensors))]
     for name, arr in tensors:
+        arr = np.asarray(arr)
+        if arr.dtype.kind != "f" or arr.dtype.itemsize != 4:
+            raise CheckpointError(f"tensor {name!r} is {arr.dtype}, not float32")
         # ascontiguousarray would promote rank-0 to rank-1; asarray keeps it
         arr = np.asarray(arr, dtype="<f4", order="C")
         nb = name.encode("utf-8")

@@ -59,6 +59,12 @@ def _build_config(args) -> ExperimentConfig:
     return cfg.validate()
 
 
+def _seed(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _load_detection_dir(path: Path):
     """One annotation file per image, paired by sorted filename."""
     files = sorted(p for p in Path(path).iterdir() if p.suffix == ".txt")
@@ -80,7 +86,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    reports = gc.run_full_suite(args.seed)
+    reports = gc.run_full_suite(_seed(args))
     print(gc.format_reports(reports))
     return 0 if all(r.passed for r in reports) else 2
 
@@ -104,9 +110,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_augment_preview(args) -> int:
     pkg = CODECS[AugmentPackage][0](args.package)
+    seed = _seed(args)
     task = SyntheticPatchTask(args.size, AugmentPackage.VER1)
-    li = task.sample(args.seed)
-    out = apply_package(pkg, li, args.seed)
+    li = task.sample(seed)
+    out = apply_package(pkg, li, seed)
     print(f"{args.package}: {len(li.boxes)} boxes in, {len(out.boxes)} out; "
           f"image {out.height}x{out.width}")
     for b in out.boxes:

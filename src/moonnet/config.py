@@ -57,6 +57,8 @@ class ExperimentConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 1 or self.steps_per_epoch < 1:
             raise ConfigError("epochs and steps_per_epoch must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     def to_text(self) -> str:

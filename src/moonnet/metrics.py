@@ -8,7 +8,7 @@ mean.  Boxes flagged difficult are ignored in matching (neither TP nor FP).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +31,25 @@ __all__ = [
 COCO_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two axis-aligned boxes, in [0, 1]."""
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+def _corners(boxes: list[BBox]) -> np.ndarray:
+    """(4, n) float64 rows x1, y1, x2, y2."""
+    return np.array([[b.x1 for b in boxes], [b.y1 for b in boxes],
+                     [b.x2 for b in boxes], [b.y2 for b in boxes]], dtype=np.float64)
+
+
+def iou(a: BBox | list[BBox], b: BBox | list[BBox]) -> float | np.ndarray:
+    """Intersection over union in [0, 1]: a float for two boxes, or the
+    (len(a), len(b)) float64 matrix for two box lists, from the same IEEE
+    operations either way; exactly 0 where the boxes do not overlap."""
+    pair = isinstance(a, BBox)
+    ax1, ay1, ax2, ay2 = _corners([a] if pair else a)[:, :, None]
+    bx1, by1, bx2, by2 = _corners([b] if pair else b)[:, None, :]
+    ix = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
+    iy = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
     inter = ix * iy
-    if inter == 0.0:
-        return 0.0
-    return inter / (a.area + b.area - inter)
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    out = np.divide(inter, union, out=np.zeros_like(inter), where=inter != 0.0)
+    return float(out[0, 0]) if pair else out
 
 
 @dataclass
@@ -62,30 +73,29 @@ def match_detections(preds: list[BBox], gts: list[BBox], iou_thresh: float) -> M
     """
     order = sorted(range(len(preds)),
                    key=lambda i: (-(preds[i].score if preds[i].score is not None else 1.0), i))
+    ious = iou(preds, gts)
+    same_class = (np.array([p.class_id for p in preds])[:, None]
+                  == np.array([g.class_id for g in gts])[None, :])
+    hit = same_class & (ious >= iou_thresh) & (ious > 0.0)
+    rows, cols = np.nonzero(hit)
+    # each prediction's candidate (GT index, IoU) pairs, in GT-index order
+    candidates = [[] for _ in preds]
+    for pi, j, v in zip(rows.tolist(), cols.tolist(), ious[hit].tolist()):
+        candidates[pi].append((j, v))
     taken = [False] * len(gts)
     tp, ignored = [], []
     matched_gt = {}
     for pi in order:
-        p = preds[pi]
         best_j, best_iou = -1, 0.0
-        for j, g in enumerate(gts):
-            if taken[j] or g.class_id != p.class_id:
-                continue
-            v = iou(p, g)
-            if v >= iou_thresh and v > best_iou:
+        for j, v in candidates[pi]:
+            if not taken[j] and v > best_iou:
                 best_j, best_iou = j, v
+        difficult = best_j >= 0 and gts[best_j].difficult
         if best_j >= 0:
             taken[best_j] = True
             matched_gt[pi] = best_j
-            if gts[best_j].difficult:
-                tp.append(False)
-                ignored.append(True)
-            else:
-                tp.append(True)
-                ignored.append(False)
-        else:
-            tp.append(False)
-            ignored.append(False)
+        tp.append(best_j >= 0 and not difficult)
+        ignored.append(difficult)
     n_gt = sum(1 for g in gts if not g.difficult)
     return MatchResult(order, tp, ignored, matched_gt, n_gt)
 
@@ -114,8 +124,8 @@ def pr_curve(preds_by_image, gts_by_image, class_id: int, iou_thresh: float):
     for img_i, (preds, gts) in enumerate(zip(preds_by_image, gts_by_image)):
         cls_preds = [p for p in preds if p.class_id == class_id]
         cls_gts = [g for g in gts if g.class_id == class_id]
-        n_gt += sum(1 for g in cls_gts if not g.difficult)
         m = match_detections(cls_preds, cls_gts, iou_thresh)
+        n_gt += m.n_gt
         for rank, pi in enumerate(m.order):
             s = cls_preds[pi].score if cls_preds[pi].score is not None else 1.0
             scored.append((s, img_i, rank, m.tp[rank], m.ignored[rank]))
@@ -143,13 +153,8 @@ def average_precision(preds_by_image, gts_by_image, iou_thresh: float,
     """All-point interpolated AP per class and the mean over classes with
     at least one ground truth.  Returns (mean_ap, per_class dict)."""
     if num_classes is None:
-        num_classes = 0
-        for gts in gts_by_image:
-            for g in gts:
-                num_classes = max(num_classes, g.class_id + 1)
-        for preds in preds_by_image:
-            for p in preds:
-                num_classes = max(num_classes, p.class_id + 1)
+        num_classes = max((b.class_id + 1 for boxes in (*gts_by_image, *preds_by_image)
+                           for b in boxes), default=0)
     per_class = {}
     for cid in range(num_classes):
         recalls, precisions, n_gt = pr_curve(preds_by_image, gts_by_image, cid, iou_thresh)

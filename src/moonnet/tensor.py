@@ -143,13 +143,14 @@ class KinkTrace:
 
     def __init__(self):
         self.margins: list[float] = []
+        self._outer: "KinkTrace | None" = None
 
     def __enter__(self):
-        KinkTrace.active = self
+        self._outer, KinkTrace.active = KinkTrace.active, self
         return self
 
     def __exit__(self, *exc):
-        KinkTrace.active = None
+        KinkTrace.active = self._outer
         return False
 
     @property

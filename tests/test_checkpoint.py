@@ -104,6 +104,15 @@ class TestRoundTrip:
         assert p.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["a.ckpt"]
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32])
+    def test_non_float32_tensor_rejected_by_name(self, tmp_path, dtype):
+        p = tmp_path / "a.ckpt"
+        tensors = sample_tensors() + [("head/b", np.full(3, 0.1, dtype=dtype))]
+        with pytest.raises(CheckpointError, match="'head/b'"):
+            save_checkpoint(tensors, p)
+        assert not p.exists()
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCorruption:
     def test_bad_magic(self, tmp_path):

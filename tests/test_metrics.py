@@ -2,12 +2,15 @@
 brute-force AP reference."""
 
 import itertools
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
+from moonnet import metrics
 from moonnet.augment import BBox
 from moonnet.metrics import (
+    MatchResult,
     COCO_THRESHOLDS,
     average_precision,
     coco_ap,
@@ -265,6 +268,211 @@ class TestPrCurve:
             _, prec, _ = pr_curve(preds, gts, cid, 0.5)
             for lo, hi in itertools.pairwise(prec):
                 assert hi <= lo + 1e-12
+
+
+def scalar_iou(a, b):
+    """IoU of one pair in plain Python floats: the scalar form the matrix
+    reproduces operation for operation."""
+    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
+    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+    inter = ix * iy
+    if inter == 0.0:
+        return 0.0
+    return inter / (a.area + b.area - inter)
+
+
+def scalar_match(preds, gts, iou_thresh):
+    """Greedy matching as one scalar IoU per (prediction, GT) pair: the
+    O(P*G) loop that match_detections replaced, kept as its oracle."""
+    order = sorted(range(len(preds)),
+                   key=lambda i: (-(preds[i].score if preds[i].score is not None else 1.0), i))
+    taken = [False] * len(gts)
+    tp, ignored = [], []
+    matched_gt = {}
+    for pi in order:
+        p = preds[pi]
+        best_j, best_iou = -1, 0.0
+        for j, g in enumerate(gts):
+            if taken[j] or g.class_id != p.class_id:
+                continue
+            v = scalar_iou(p, g)
+            if v >= iou_thresh and v > best_iou:
+                best_j, best_iou = j, v
+        if best_j >= 0:
+            taken[best_j] = True
+            matched_gt[pi] = best_j
+            tp.append(not gts[best_j].difficult)
+            ignored.append(gts[best_j].difficult)
+        else:
+            tp.append(False)
+            ignored.append(False)
+    n_gt = sum(1 for g in gts if not g.difficult)
+    return MatchResult(order, tp, ignored, matched_gt, n_gt)
+
+
+def tricky_image(rng, n_classes=3):
+    """One image whose boxes hit every matching edge case: integer-grid and
+    float boxes, duplicated GTs (IoU ties), difficult GTs, exact copies
+    (IoU 1), nested and touching boxes, tied and None scores, and empty
+    prediction or GT lists."""
+    def rand_box(cls, **kw):
+        if rng.random() < 0.5:  # integer grid: exact ties and shared edges
+            x1, y1 = (int(v) for v in rng.integers(0, 12, 2))
+            w, h = (int(v) for v in rng.integers(1, 6, 2))
+        else:
+            x1, y1 = rng.uniform(0, 12, 2)
+            w, h = rng.uniform(0.5, 6, 2)
+        return BBox(x1, y1, x1 + w, y1 + h, cls, **kw)
+
+    def score():
+        r = rng.random()
+        if r < 0.15:
+            return None
+        if r < 0.6:
+            return float(rng.choice([0.25, 0.5, 0.75]))  # ties
+        return float(rng.uniform(0, 1))
+
+    gts = []
+    for _ in range(int(rng.integers(0, 10)) if rng.random() > 0.1 else 0):
+        if gts and rng.random() < 0.25:
+            gts.append(replace(gts[int(rng.integers(len(gts)))],
+                               difficult=bool(rng.random() < 0.3)))
+        else:
+            gts.append(rand_box(int(rng.integers(n_classes)),
+                                difficult=bool(rng.random() < 0.15)))
+    preds = []
+    for _ in range(int(rng.integers(0, 12)) if rng.random() > 0.1 else 0):
+        r = rng.random()
+        if gts and r < 0.3:  # exact copy, maybe of another class
+            g = gts[int(rng.integers(len(gts)))]
+            cls = g.class_id if rng.random() < 0.8 else int(rng.integers(n_classes))
+            preds.append(BBox(g.x1, g.y1, g.x2, g.y2, cls, score=score()))
+        elif gts and r < 0.6:  # jittered copy
+            g = gts[int(rng.integers(len(gts)))]
+            d = rng.uniform(-1, 1, 4)
+            preds.append(BBox(g.x1 + d[0], g.y1 + d[1], max(g.x2 + d[2], g.x1 + d[0] + 0.5),
+                              max(g.y2 + d[3], g.y1 + d[1] + 0.5), g.class_id, score=score()))
+        else:
+            preds.append(rand_box(int(rng.integers(n_classes)), score=score()))
+    return preds, gts
+
+
+EDGE_PAIRS = [
+    (BBox(1, 1, 5, 5), BBox(1, 1, 5, 5)),                  # identical
+    (BBox(0, 0, 4, 4), BBox(1, 1, 2, 2)),                  # nested
+    (BBox(0.1, 0.2, 3.7, 4.9), BBox(0.3, 0.4, 1.1, 1.3)),  # nested, float
+    (BBox(0, 0, 1, 1), BBox(1, 0, 2, 1)),                  # touching edge
+    (BBox(0, 0, 1, 1), BBox(1, 1, 2, 2)),                  # touching corner
+    (BBox(0, 0, 1, 1), BBox(2, 2, 3, 3)),                  # disjoint
+    (BBox(0, 0, 2, 2), BBox(1, 1, 3, 3)),                  # 1/7
+    (BBox(0, 0, 10, 10), BBox(0, 0, 5, 10)),               # exactly 0.5
+    (BBox(0.1, 0.1, 0.3, 0.7), BBox(0.2, 0.1, 0.4, 0.7)),  # inexact halves
+    (BBox(1e-3, 1e-3, 2e-3, 2e-3), BBox(1.5e-3, 1e-3, 2.5e-3, 2e-3)),
+    (BBox(0, 0, 1e4, 1e4), BBox(1e4 - 1e-3, 0, 2e4, 1e4)),
+]
+
+
+class TestIoUMatrix:
+    def test_matrix_equals_scalar_form_bit_for_bit(self):
+        rng = np.random.default_rng(55)
+        a = [pa for pa, _ in EDGE_PAIRS] + [pb for _, pb in EDGE_PAIRS]
+        for _ in range(20):
+            preds, gts = tricky_image(rng)
+            a += preds + gts
+        b = list(reversed(a))
+        m = iou(a, b)
+        assert m.shape == (len(a), len(b)) and m.dtype == np.float64
+        for i, j in itertools.product(range(len(a)), range(len(b))):
+            assert m[i, j].hex() == scalar_iou(a[i], b[j]).hex() == iou(a[i], b[j]).hex()
+
+    def test_edge_pairs(self):
+        for pa, pb in EDGE_PAIRS:
+            v = iou(pa, pb)
+            assert type(v) is float
+            assert v.hex() == scalar_iou(pa, pb).hex() == iou(pb, pa).hex()
+            assert iou([pa], [pb])[0, 0].hex() == v.hex()
+
+    def test_empty_lists_give_empty_matrices(self):
+        b = [BBox(0, 0, 1, 1)] * 3
+        assert iou([], b).shape == (0, 3)
+        assert iou(b, []).shape == (3, 0)
+        assert iou([], []).shape == (0, 0)
+
+
+class TestMatchingEquivalence:
+    THRESHOLDS = (0.0, 0.5, 0.95, 1.0)
+
+    def test_matches_scalar_loop_on_seeded_scenes(self):
+        rng = np.random.default_rng(2024)
+        seen = dict(empty=0, ignored=0, exact=0, tie=0)
+        for _ in range(250):
+            preds, gts = tricky_image(rng)
+            seen["empty"] += not preds or not gts
+            for t in self.THRESHOLDS:
+                m = match_detections(preds, gts, t)
+                ref = scalar_match(preds, gts, t)
+                assert astuple(m) == astuple(ref)
+                seen["ignored"] += sum(m.ignored)
+                seen["exact"] += t == 1.0 and len(m.matched_gt)
+            # a prediction with two equal best IoUs on distinct untaken GTs
+            for p in preds:
+                ious = [scalar_iou(p, g) for g in gts if g.class_id == p.class_id]
+                seen["tie"] += len(ious) > 1 and max(ious) > 0 and ious.count(max(ious)) > 1
+        assert all(v > 0 for v in seen.values()), seen
+
+    def test_evaluate_equals_scalar_matching(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        scenes = []
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            images = [tricky_image(rng) for _ in range(n)]
+            scenes.append(([p for p, _ in images], [g for _, g in images]))
+        fast = [evaluate(p, g, num_classes=3) for p, g in scenes]
+        monkeypatch.setattr(metrics, "match_detections", scalar_match)
+        slow = [evaluate(p, g, num_classes=3) for p, g in scenes]
+        assert fast == slow
+
+
+def crowded_scene(seed, n_images=3, n_gt=60, n_pred=70, n_classes=3):
+    """Clustered boxes in a 256-px canvas: most predictions are jittered
+    copies of a ground truth, the rest clutter; a few GTs are difficult."""
+    rng = np.random.default_rng(seed)
+    preds_by_image, gts_by_image = [], []
+    for _ in range(n_images):
+        centres = rng.uniform(32, 224, size=(4, 2))
+        xy = centres[rng.integers(0, 4, n_gt)] + rng.normal(0, 20, (n_gt, 2))
+        wh = rng.uniform(4, 20, (n_gt, 2))
+        cls = rng.integers(0, n_classes, n_gt)
+        gts = [BBox(float(x), float(y), float(x + w), float(y + h), int(c),
+                    difficult=bool(rng.random() < 0.05))
+               for (x, y), (w, h), c in zip(xy, wh, cls)]
+        preds = []
+        for _ in range(n_pred):
+            if rng.random() < 0.6:
+                j = int(rng.integers(n_gt))
+                x, y = xy[j] + rng.normal(0, 0.1, 2) * wh[j]
+                w, h = wh[j] * rng.uniform(0.8, 1.2, 2)
+                c = int(cls[j])
+            else:
+                x, y = centres[rng.integers(0, 4)] + rng.normal(0, 30, 2)
+                w, h = rng.uniform(4, 20, 2)
+                c = int(rng.integers(n_classes))
+            preds.append(BBox(float(x), float(y), float(x + w), float(y + h), c,
+                              score=float(rng.uniform())))
+        preds_by_image.append(preds)
+        gts_by_image.append(gts)
+    return preds_by_image, gts_by_image
+
+
+class TestEvaluatePinned:
+    def test_crowded_scene_fields_pinned(self):
+        preds, gts = crowded_scene(3)
+        res = evaluate(preds, gts, num_classes=3)
+        # the values of the scalar-loop evaluator this one replaced
+        assert [v.hex() for v in (res.ap50, res.ap75, res.ap, res.recall, res.precision)] == [
+            "0x1.f6dccb5e29e60p-3", "0x1.0c590f3cd9b6dp-5", "0x1.7b993b2033953p-4",
+            "0x1.d986a8b1927f4p-2", "0x1.8dab7ec1dd343p-2"]
+        assert res.evaluated_classes == 3
 
 
 class TestMeanBoxArea:

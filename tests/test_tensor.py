@@ -27,6 +27,18 @@ class TestTensor4:
         assert (x.n, x.c, x.h, x.w) == (2, 3, 4, 5)
 
 
+class TestKinkTrace:
+    def test_nested_trace_restores_the_outer_one(self):
+        with T.KinkTrace() as outer:
+            T.relu(t4([[[[-3.0]]]]))
+            with T.KinkTrace() as inner:
+                T.relu(t4([[[[0.5]]]]))
+            T.relu(t4([[[[2.0]]]]))
+        assert inner.margins == [0.5]
+        assert outer.margins == [3.0, 2.0]
+        assert T.KinkTrace.active is None
+
+
 class TestGlobalAvgPool:
     def test_small_fixture(self):
         x = t4(np.array([1, 2, 3, 4]).reshape(1, 1, 2, 2))

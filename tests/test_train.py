@@ -264,7 +264,7 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [dict(input_size=50), dict(lr=-1.0),
                                     dict(design_id=9), dict(width=0.0),
                                     dict(momentum=1.0), dict(batch=0),
-                                    dict(input_size=-32, batch=2)])
+                                    dict(input_size=-32, batch=2), dict(seed=-1)])
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):
             dataclasses.replace(ExperimentConfig(), **kw).validate()
@@ -316,6 +316,15 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+
+    @pytest.mark.parametrize("argv", [["train", "--epochs", "1", "--steps-per-epoch", "1"],
+                                      ["gradcheck"], ["augment-preview"]],
+                             ids=["train", "gradcheck", "augment-preview"])
+    def test_negative_seed_exit_one(self, argv, capsys):
+        rc = cli_main([*argv, "--seed", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
 
     def test_size_32_trains_with_batch_2(self, capsys):
         rc = cli_main(["train", "--size", "32", "--batch", "2", "--width", "0.125",
