@@ -9,6 +9,7 @@ pixel values live in [0, 1].
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -38,7 +39,7 @@ class AnnotationError(ValueError):
 
 @dataclass
 class BBox:
-    """Axis-aligned box in pixel coordinates, x1 < x2 and y1 < y2."""
+    """Axis-aligned box in finite pixel coordinates, x1 < x2 and y1 < y2."""
     x1: float
     y1: float
     x2: float
@@ -48,6 +49,8 @@ class BBox:
     difficult: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x1, self.y1, self.x2, self.y2))):
+            raise ValueError(f"non-finite box ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise ValueError(f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
         if self.score is not None and not 0.0 <= self.score <= 1.0:

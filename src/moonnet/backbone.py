@@ -132,12 +132,12 @@ def _conv_init(rng, c_out, c_in, k, dtype):
 
 
 class ConvBlock(Module):
-    """conv -> batchnorm -> SiLU."""
+    """conv -> batchnorm -> SiLU.  The conv has no bias: a training-mode
+    batchnorm subtracts the batch mean, which would cancel it."""
 
     def __init__(self, c_in, c_out, k, rng, dtype, name, stride=1):
         self.stride, self.pad = stride, (k - 1) // 2
         self.weight = Param(f"{name}/weight", _conv_init(rng, c_out, c_in, k, dtype))
-        self.bias = Param(f"{name}/bias", np.zeros((c_out,), dtype=dtype))
         self.gamma = Param(f"{name}/bn_gamma", np.ones((c_out,), dtype=dtype))
         self.beta = Param(f"{name}/bn_beta", np.zeros((c_out,), dtype=dtype))
         self.running_mean = np.zeros((c_out,), dtype=dtype)
@@ -150,8 +150,7 @@ class ConvBlock(Module):
                                           (f"{prefix}/bn_running_var", self.running_var)]
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
-        y, bw_conv = conv2d(x, self.weight.value, self.bias.value,
-                            stride=self.stride, pad=self.pad)
+        y, bw_conv = conv2d(x, self.weight.value, None, stride=self.stride, pad=self.pad)
         y, bw_bn = batchnorm(y, self.gamma.value, self.beta.value, training=training,
                              running_mean=self.running_mean, running_var=self.running_var)
         y, bw_act = silu(y)
@@ -164,9 +163,8 @@ class ConvBlock(Module):
         g, ggamma, gbeta = bw_bn(g)
         self.gamma.add_grad(ggamma)
         self.beta.add_grad(gbeta)
-        gx, gk, gb = bw_conv(g)
+        gx, gk, _ = bw_conv(g)
         self.weight.add_grad(gk)
-        self.bias.add_grad(gb)
         return gx
 
 

@@ -31,7 +31,7 @@ __all__ = [
     "DEFAULT_FLOOR",
 ]
 
-DEFAULT_EPS = 1e-5
+DEFAULT_EPS = 1e-6
 DEFAULT_TOL = 1e-4
 DEFAULT_FLOOR = 1e-7
 KINK_MARGIN = 1e-3
@@ -170,6 +170,8 @@ def check_op_suite(seed: int = 0):
         cases.append((f"conv2d(k={k},s={stride},p={pad})",
                       _tensor_op(T.conv2d, stride=stride, pad=pad),
                       {"x": (1, cin, hw, hw), "kernel": (cout, cin, k, k), "b": (cout,)}))
+    cases.append(("conv2d(k=3,s=2,p=1,b=None)", _tensor_op(T.conv2d, b=None, stride=2, pad=1),
+                  {"x": (2, 3, 5, 5), "kernel": (4, 3, 3, 3)}))
     for gshape in [(2, 3, 1, 1), (2, 1, 4, 4)]:
         cases.append((f"broadcast_mul{gshape}", _tensor_op(T.broadcast_mul, 2),
                       {"x": (2, 3, 4, 4), "gate": gshape}))

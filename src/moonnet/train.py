@@ -16,7 +16,8 @@ import numpy as np
 
 from .augment import AugmentPackage, BBox, LabeledImage, apply_package
 from .backbone import Backbone, ConfigError, build_design
-from .checkpoint import META_PREFIX, bytes_to_tensor, load_checkpoint, save_checkpoint, tensor_to_bytes
+from .checkpoint import (META_PREFIX, CheckpointError, bytes_to_tensor, load_checkpoint,
+                         save_checkpoint, tensor_to_bytes)
 from .config import ExperimentConfig, parse_config_text
 from .metrics import EvalResult, evaluate
 from .tensor import Module, Param, Tensor4, clipped_sigmoid, conv2d
@@ -277,16 +278,28 @@ def save_model_checkpoint(model: PatchModel, cfg: ExperimentConfig, path,
 
 
 def load_model_checkpoint(path) -> tuple[PatchModel, ExperimentConfig, dict]:
-    tensors = load_checkpoint(path)
-    by_name = dict(tensors)
-    cfg = parse_config_text(tensor_to_bytes(by_name[META_PREFIX + "config"]).decode())
+    """Rebuild the model a checkpoint was saved from.  Raises CheckpointError
+    naming the tensor when one is missing, has the wrong shape, or is not
+    part of the model, so no checkpoint of another layout loads in part."""
+    by_name = dict(load_checkpoint(path))
+
+    def take(name):
+        if name not in by_name:
+            raise CheckpointError(f"{path}: missing tensor {name!r}")
+        return by_name.pop(name)
+
+    cfg = parse_config_text(tensor_to_bytes(take(META_PREFIX + "config")).decode())
     cfg.validate()
-    rng_state = json.loads(tensor_to_bytes(by_name[META_PREFIX + "rng"]).decode())
+    rng_state = json.loads(tensor_to_bytes(take(META_PREFIX + "rng")).decode())
     model = PatchModel(cfg)
     for name, arr in model.named_tensors():
-        if name not in by_name:
-            raise KeyError(f"checkpoint missing tensor {name!r}")
-        arr[...] = by_name[name].astype(arr.dtype)
+        value = take(name)
+        if value.shape != arr.shape:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {value.shape}, "
+                                  f"the model expects {arr.shape}")
+        arr[...] = value
+    if by_name:
+        raise CheckpointError(f"{path}: unexpected tensor {next(iter(by_name))!r}")
     return model, cfg, rng_state
 
 

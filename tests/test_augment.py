@@ -30,6 +30,12 @@ class TestBBox:
         with pytest.raises(ValueError):
             BBox(4, 2, 4, 5)
 
+    @pytest.mark.parametrize("coords", [(0, 0, np.inf, 5), (-np.inf, 0, 1, 1),
+                                        (0, -np.inf, 1, np.inf), (0, np.nan, 1, 1)])
+    def test_rejects_non_finite(self, coords):
+        with pytest.raises(ValueError, match="non-finite box"):
+            BBox(*coords)
+
     def test_rejects_bad_score(self):
         with pytest.raises(ValueError):
             BBox(0, 0, 1, 1, score=1.5)
@@ -229,6 +235,7 @@ class TestAnnotationIO:
 
     @pytest.mark.parametrize("line", ["5 2 5 4 0",            # degenerate box
                                       "1 nan 3 4 0",          # NaN coordinate
+                                      "0 0 inf 5 0",          # infinite coordinate
                                       "1 2 3 4 0 1.5"])       # score outside [0, 1]
     def test_bad_box_is_annotation_error_naming_line(self, tmp_path, line):
         p = tmp_path / "bad.txt"

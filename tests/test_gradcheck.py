@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from moonnet import attention, backbone
 from moonnet import gradcheck as gc
+from moonnet import tensor as T
 from moonnet.attention import GateKind
 
 
@@ -84,3 +86,44 @@ class TestFormatReports:
         lines = text.splitlines()
         assert "op" in lines[0] and "site" in lines[0]
         assert "0 failures" in lines[-1]
+
+
+class TestFullSuite:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(40))
+    def test_passes_at_every_seed(self, seed):
+        reports = gc.run_full_suite(seed)
+        failures = [r for r in reports if not r.passed]
+        assert not failures, "\n" + gc.format_reports(failures)
+
+
+def _scaled_backward(op, positions, factor):
+    """``op`` with the backward's outputs at ``positions`` scaled by ``factor``."""
+    def mutated(*args, **kw):
+        *outs, backward = op(*args, **kw)
+
+        def scaled(*g):
+            grads = list(backward(*g))
+            for i in positions:
+                grads[i] = grads[i] * factor
+            return tuple(grads)
+
+        return (*outs, scaled)
+
+    return mutated
+
+
+class TestSensitivity:
+    """A 3e-4 relative error in any one backward must fail a site of the
+    suite: the oracle is no looser than three times its tolerance."""
+
+    @pytest.mark.parametrize("name,positions", [("conv2d", (1,)), ("batchnorm", (0, 1, 2)),
+                                                ("silu", (0,)), ("tanh_act", (0,))])
+    def test_scaled_backward_fails_a_site(self, monkeypatch, name, positions):
+        original = getattr(T, name)
+        mutated = _scaled_backward(original, positions, 1.0 + 3e-4)
+        for mod in (T, attention, backbone):
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, mutated)
+        reports = gc.run_full_suite(0)
+        assert any(not r.passed for r in reports)

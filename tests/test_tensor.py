@@ -202,6 +202,79 @@ class TestConv2d:
                      np.zeros(1, dtype=np.float32))
 
 
+def _row_major_im2col_conv2d(x, kernel, b, stride, pad):
+    """The (n*ho*wo, c*k*k) im2col conv that conv2d's channel-major columns
+    replaced, kept as a reference: returns (out, backward)."""
+    n, c, h, w = x.shape
+    c_out, _, k, _ = kernel.shape
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (w + 2 * pad - k) // stride + 1
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    cols = windows[:, :, ::stride, ::stride]
+    M = np.ascontiguousarray(cols.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * k * k)
+    Km = kernel.reshape(c_out, c * k * k)
+    out = (M @ Km.T).reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2) + b[None, :, None, None]
+
+    def backward(g):
+        g_m = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, c_out)
+        gk = (g_m.T @ M).reshape(kernel.shape)
+        g_cols = (g_m @ Km).reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+        gxp = np.zeros_like(xp)
+        for i in range(k):
+            for j in range(k):
+                gxp[:, :, i:i + stride * (ho - 1) + 1:stride,
+                    j:j + stride * (wo - 1) + 1:stride] += g_cols[:, :, :, :, i, j]
+        return gxp[:, :, pad:pad + h, pad:pad + w], gk, g.sum(axis=(0, 2, 3))
+
+    return out, backward
+
+
+def _assert_rel_close(a, ref, rel):
+    assert a.shape == ref.shape
+    assert np.abs(a - ref).max() <= rel * np.abs(ref).max()
+
+
+class TestConv2dColumnLayout:
+    """conv2d against the row-major im2col reference, forward and backward."""
+
+    CASES = [  # (n, c, h, w, c_out, k, stride, pad)
+        (2, 3, 9, 7, 4, 1, 1, 0),
+        (2, 3, 9, 7, 4, 1, 2, 0),
+        (2, 4, 8, 8, 5, 3, 1, 1),
+        (2, 4, 9, 8, 5, 3, 2, 1),
+        (1, 3, 5, 6, 2, 3, 1, 0),
+        (1, 2, 8, 8, 1, 7, 1, 3),   # CBAM's spatial conv
+        (2, 3, 10, 9, 2, 7, 2, 3),
+        (3, 5, 4, 4, 1, 1, 1, 0),   # the 1x1 head
+    ]
+
+    @pytest.mark.parametrize("dtype,rel", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_matches_row_major_im2col(self, case, dtype, rel, bias):
+        n, c, h, w, c_out, k, stride, pad = case
+        rng = np.random.default_rng(sum(case))
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        kern = rng.standard_normal((c_out, c, k, k)).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype)
+        out, bw = T.conv2d(Tensor4(x), kern, b if bias else None, stride=stride, pad=pad)
+        ref, ref_bw = _row_major_im2col_conv2d(x, kern, b if bias else np.zeros_like(b),
+                                               stride, pad)
+        assert out.dtype == dtype
+        _assert_rel_close(out.values, ref, rel)
+        g = rng.standard_normal(ref.shape).astype(dtype)
+        gx, gk, gb = bw(g)
+        ref_gx, ref_gk, ref_gb = ref_bw(g)
+        _assert_rel_close(gx, ref_gx, rel)
+        _assert_rel_close(gk, ref_gk, rel)
+        if bias:
+            _assert_rel_close(gb, ref_gb, rel)
+        else:
+            assert gb is None
+
+
 class TestActivations:
     def test_sigmoid_at_zero_halves(self):
         out, _ = T.sigmoid(t4(np.zeros((1, 1, 1, 1))))

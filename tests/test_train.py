@@ -7,6 +7,7 @@ import pytest
 
 from moonnet.attention import GateKind
 from moonnet.augment import AugmentPackage
+from moonnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from moonnet.cli import main as cli_main
 from moonnet.config import ConfigError, ExperimentConfig, parse_config_text
 from moonnet.train import (
@@ -203,6 +204,44 @@ class TestCheckpointGlue:
         _, _, state = load_model_checkpoint(tmp_path / "final.ckpt")
         assert "state" in state or state == {}
 
+    @staticmethod
+    def _rewritten(tmp_path, edit):
+        """A saved tiny model's checkpoint with its tensor list passed through edit."""
+        cfg = tiny_cfg()
+        p = tmp_path / "m.ckpt"
+        save_model_checkpoint(PatchModel(cfg), cfg, p)
+        save_checkpoint(edit(load_checkpoint(p)), p)
+        return p
+
+    def test_missing_tensor_is_checkpoint_error_naming_it(self, tmp_path):
+        p = self._rewritten(tmp_path, lambda ts: [t for t in ts if t[0] != "stage2/conv/bn_beta"])
+        with pytest.raises(CheckpointError, match="missing tensor 'stage2/conv/bn_beta'"):
+            load_model_checkpoint(p)
+
+    def test_missing_metadata_is_checkpoint_error(self, tmp_path):
+        p = self._rewritten(tmp_path, lambda ts: [t for t in ts if t[0] != "__meta__/config"])
+        with pytest.raises(CheckpointError, match="missing tensor '__meta__/config'"):
+            load_model_checkpoint(p)
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 5)])  # broadcastable, and not
+    def test_wrong_shape_is_checkpoint_error_naming_it(self, tmp_path, shape):
+        p = self._rewritten(tmp_path, lambda ts: [
+            (n, np.ones(shape, np.float32) if n == "stage1/conv/bn_gamma" else a)
+            for n, a in ts])
+        with pytest.raises(CheckpointError, match="'stage1/conv/bn_gamma' has shape"):
+            load_model_checkpoint(p)
+
+    def test_conv_bias_of_older_layout_is_refused(self, tmp_path):
+        # ConvBlock convs carried a bias before; batchnorm running means
+        # saved with one do not fit a model without it
+        def add_bias(ts):
+            i = [n for n, _ in ts].index("stage0/conv/weight")
+            return ts[:i + 1] + [("stage0/conv/bias", np.zeros(ts[i][1].shape[0], np.float32))] \
+                + ts[i + 1:]
+        p = self._rewritten(tmp_path, add_bias)
+        with pytest.raises(CheckpointError, match="unexpected tensor 'stage0/conv/bias'"):
+            load_model_checkpoint(p)
+
 
 class TestEvaluateModel:
     def test_trained_model_beats_chance(self):
@@ -352,6 +391,19 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "a.txt:1:" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cmd", ["stats", "evaluate"])
+    def test_infinite_box_exit_one(self, tmp_path, capsys, cmd):
+        d = tmp_path / "ann"
+        d.mkdir()
+        (d / "a.txt").write_text("0 0 10 10 0\n0 0 inf 5 0\n")
+        argv = [str(d)] if cmd == "stats" else ["--gt", str(d), "--preds", str(d)]
+        rc = cli_main([cmd, *argv])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "a.txt:2: non-finite box" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_missing_annotation_dir_exit_one(self, tmp_path):
         rc = cli_main(["evaluate", "--gt", str(tmp_path / "none"),
