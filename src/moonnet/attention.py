@@ -105,7 +105,7 @@ class SEBlock(Module):
         z, bw_fc2 = fc(h, self.w2.value, self.b2.value)
         mult, bw_gate = gate_tensor(z, self.gate)
         y, bw_mul = broadcast_mul(x, mult)
-        self._tape = (bw_gap, bw_fc1, bw_relu, bw_fc2, bw_gate, bw_mul)
+        self._tape = (bw_gap, bw_fc1, bw_relu, bw_fc2, bw_gate, bw_mul) if training else None
         return y
 
     def backward(self, g: np.ndarray) -> np.ndarray:
@@ -191,8 +191,9 @@ class CBAMBlock(Module):
                              stride=1, pad=(self.k - 1) // 2)
         mult_s, bw_gate_s = gate_tensor(zs, self.gate)
         y, bw_mul_s = broadcast_mul(xc, mult_s)
-        self._tape = (bw_gap, bw_gmp, tape_avg, tape_max, bw_gate_c, bw_mul_c,
-                      bw_ravg, bw_rmax, bw_cat, bw_conv, bw_gate_s, bw_mul_s)
+        self._tape = ((bw_gap, bw_gmp, tape_avg, tape_max, bw_gate_c, bw_mul_c,
+                       bw_ravg, bw_rmax, bw_cat, bw_conv, bw_gate_s, bw_mul_s)
+                      if training else None)
         return y
 
     def backward(self, g: np.ndarray) -> np.ndarray:

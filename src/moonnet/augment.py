@@ -206,7 +206,11 @@ def load_annotations(path, class_ids: dict[str, int] | None = None) -> list[BBox
     if class_ids is None:
         class_ids = {}
     boxes = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise AnnotationError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -154,7 +154,7 @@ class ConvBlock(Module):
         y, bw_bn = batchnorm(y, self.gamma.value, self.beta.value, training=training,
                              running_mean=self.running_mean, running_var=self.running_var)
         y, bw_act = silu(y)
-        self._tape = (bw_conv, bw_bn, bw_act)
+        self._tape = (bw_conv, bw_bn, bw_act) if training else None
         return y
 
     def backward(self, g: np.ndarray) -> np.ndarray:
@@ -180,7 +180,7 @@ class Bottleneck(Module):
         y = self.cv1.forward(x, training)
         y = self.cv2.forward(y, training)
         out, bw_add = add(x, y)
-        self._tape = bw_add
+        self._tape = bw_add if training else None
         return out
 
     def backward(self, g: np.ndarray) -> np.ndarray:
@@ -208,7 +208,7 @@ class C2f(Module):
         a, b, bw_split = split_channels(y, self.channels // 2)
         b = self.block.forward(b, training)
         y, bw_cat = concat_channels(a, b)
-        self._tape = (bw_split, bw_cat)
+        self._tape = (bw_split, bw_cat) if training else None
         return self.cv2.forward(y, training)
 
     def backward(self, g: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ Subcommands: train, gradcheck, evaluate, augment-preview, stats, sweep.
 The config flags of train and sweep are the config-file keys with dashes
 (``--steps-per-epoch``; ``--design`` and ``--size`` alias ``--design-id`` and
 ``--input-size``) and override a ``--config`` file (flat key=value).
-Exit codes: 0 success, 1 validation error, 2 runtime failure.
+Exit codes: 0 success, 1 validation or file error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -204,12 +204,16 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, AnnotationError, FileNotFoundError, NotADirectoryError) as e:
+    except (ConfigError, AnnotationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    # CheckpointError is an OSError, so this clause must come before the next
     except (TrainingDiverged, CheckpointError, RuntimeError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@
 ``to_text()`` and the CLI flags walk its fields and convert through ``CODECS``.
 """
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -41,8 +42,8 @@ class ExperimentConfig:
         if self.input_size < 32 or self.input_size % 32:
             raise ConfigError(f"input_size must be a positive multiple of 32, "
                               f"got {self.input_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.batch < 1:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
         # batchnorm in the (input_size/32)^2-pixel last stage needs two values per channel
@@ -97,4 +98,8 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
 
 
 def load_config_file(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text(), base)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+    return parse_config_text(text, base)

@@ -84,20 +84,26 @@ class Tensor4:
 
 
 class Param:
-    """Named learnable array with an accumulated gradient buffer."""
+    """Named learnable array and its accumulated gradient, None until the
+    first ``add_grad`` of a backward."""
 
     __slots__ = ("name", "value", "grad")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.asarray(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        self.grad = None
 
     def add_grad(self, g):
-        self.grad += g
+        # the first gradient is taken by reference: every caller passes a
+        # fresh array that nothing else holds
+        if self.grad is None:
+            self.grad = g
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.value.shape})"
@@ -108,7 +114,8 @@ class Module:
     ``zero_grad()`` walk the instance's ``Param``, ``Module`` and
     list-of-``Module`` attributes in assignment order, which is the
     checkpoint order.  Subclasses define ``forward(x, training)`` and
-    ``backward(g)``, keeping what backward needs in ``self._tape``."""
+    ``backward(g)``, keeping what backward needs in ``self._tape`` in
+    training only: an eval forward records no tape."""
 
     def _members(self):
         for v in vars(self).values():

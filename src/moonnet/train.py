@@ -41,11 +41,13 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss becomes non-finite."""
 
 
-def sgd_step(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
+def sgd_step(theta: np.ndarray, grad: np.ndarray | None, velocity: np.ndarray,
              lr: float, momentum: float) -> np.ndarray:
-    """One SGD-with-momentum update, in place: v <- m*v + g; theta <- theta - lr*v."""
+    """One SGD-with-momentum update, in place: v <- m*v + g; theta <- theta - lr*v.
+    A None gradient is zero."""
     velocity *= momentum
-    velocity += grad
+    if grad is not None:
+        velocity += grad
     theta -= lr * velocity
     return theta
 
@@ -151,7 +153,7 @@ class PatchModel(Module):
         """Returns per-cell logits of shape (n, 1, grid, grid)."""
         outs = self.backbone.forward(x, training)
         logits, bw_head = conv2d(outs[-1], self.head_w.value, self.head_b.value)
-        self._tape = (len(outs), bw_head)
+        self._tape = (len(outs), bw_head) if training else None
         return logits.values
 
     def backward(self, g_logits: np.ndarray):
@@ -333,17 +335,25 @@ def model_detections(logits: np.ndarray, task: SyntheticPatchTask,
     return out
 
 
+# input pixels per evaluate_model forward: 16 images at 64 px, 4 at 128 px
+EVAL_PIXELS_PER_FORWARD = 2 ** 16
+
+
 def evaluate_model(model: PatchModel, task: SyntheticPatchTask, n_images: int = 32,
                    seed_base: int = 10_000) -> tuple[EvalResult, float]:
-    """Detection metrics plus cell accuracy on freshly generated samples."""
+    """Detection metrics plus cell accuracy on freshly generated samples.
+    Eval-mode batchnorm uses running statistics, so the images of one forward
+    do not interact; each image is scored from its own slice of the logits."""
+    per_forward = max(1, EVAL_PIXELS_PER_FORWARD // task.size ** 2)
     preds_by_image, gts_by_image = [], []
     correct = total = 0
-    for i in range(n_images):
-        li = task.sample(seed_base + i)
-        logits = model.forward(li.image, training=False)
-        gts_by_image.append(li.boxes)
-        preds_by_image.append(model_detections(logits, task, li))
-        labels = task.label_grid(li)[None]
+    for start in range(seed_base, seed_base + n_images, per_forward):
+        stop = min(start + per_forward, seed_base + n_images)
+        x, labels, samples = task.batch(range(start, stop))
+        logits = model.forward(x, training=False)
+        for i, li in enumerate(samples):
+            gts_by_image.append(li.boxes)
+            preds_by_image.append(model_detections(logits[i:i + 1], task, li))
         correct += ((logits > 0) == (labels > 0.5)).sum()
         total += labels.size
     result = evaluate(preds_by_image, gts_by_image, num_classes=1)

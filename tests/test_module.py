@@ -66,11 +66,49 @@ def test_named_arrays_are_live():
 def test_zero_grad_clears_every_nested_grad():
     model = PatchModel(ExperimentConfig())
     for p in model.parameters():
-        p.grad[...] = 1.0
+        p.grad = np.ones_like(p.value)
     stage = model.backbone.stages[1]
     for layer in (stage.c2f.block.cv1, stage.c2f.block, stage.c2f, stage):
         layer.zero_grad()
-        assert all(not p.grad.any() for p in layer.parameters())
+        assert all(p.grad is None for p in layer.parameters())
     assert all(p.grad.all() for p in model.backbone.stages[2].parameters())
     model.zero_grad()
-    assert all(not p.grad.any() for p in model.parameters())
+    assert all(p.grad is None for p in model.parameters())
+
+
+def test_first_gradient_is_taken_by_reference():
+    p = Param("w", np.zeros(3, np.float32))
+    g = np.ones(3, np.float32)
+    p.add_grad(g)
+    assert p.grad is g
+    p.add_grad(np.ones(3, np.float32))
+    assert p.grad is g and np.array_equal(g, [2.0, 2.0, 2.0])
+
+
+def test_backward_gives_every_parameter_a_gradient_of_its_dtype():
+    model = PatchModel(ExperimentConfig())
+    task = SyntheticPatchTask(64)
+    x, _, _ = task.batch([0, 1])
+    model.zero_grad()
+    model.backward(np.ones_like(model.forward(x, training=True)))
+    assert all(p.grad.dtype == p.value.dtype and p.grad.shape == p.value.shape
+               for p in model.parameters())
+
+
+def _modules(module):
+    yield module
+    for v in module._members():
+        if isinstance(v, Module):
+            yield from _modules(v)
+
+
+def test_only_training_forwards_keep_a_tape():
+    model = PatchModel(ExperimentConfig())
+    taped = [m for m in _modules(model) if hasattr(m, "_tape")]
+    assert {type(m).__name__ for m in taped} == {
+        "PatchModel", "ConvBlock", "Bottleneck", "C2f", "SEBlock", "CBAMBlock"}
+    x = SyntheticPatchTask(64).sample(0).image
+    model.forward(x, training=True)
+    assert all(m._tape is not None for m in taped)
+    model.forward(x, training=False)
+    assert all(m._tape is None for m in taped)

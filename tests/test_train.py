@@ -1,22 +1,31 @@
 """Optimizer, synthetic task, training-loop, config, and CLI tests."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moonnet
 from moonnet.attention import GateKind
 from moonnet.augment import AugmentPackage
 from moonnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from moonnet.cli import main as cli_main
 from moonnet.config import ConfigError, ExperimentConfig, parse_config_text
+from moonnet.metrics import evaluate
 from moonnet.train import (
+    EVAL_PIXELS_PER_FORWARD,
     PatchModel,
     SGD,
     SyntheticPatchTask,
     bce_with_logits,
     evaluate_model,
     load_model_checkpoint,
+    model_detections,
     resolution_sweep,
     save_model_checkpoint,
     sgd_step,
@@ -37,6 +46,12 @@ class TestSgdStep:
         v = np.zeros(2)
         sgd_step(theta, np.array([0.5, -1.0]), v, lr=0.1, momentum=0.0)
         assert np.allclose(theta, [0.95, 2.1])
+
+    def test_none_gradient_is_zero_and_momentum_decays(self):
+        theta = np.array([1.0])
+        v = np.array([2.0])
+        sgd_step(theta, None, v, lr=0.1, momentum=0.5)
+        assert v[0] == 1.0 and theta[0] == 0.9
 
     def test_momentum_accumulates(self):
         # two steps with constant gradient g=1: v goes 1, then 1.9
@@ -252,7 +267,7 @@ class TestEvaluateModel:
         assert acc > 0.9
         assert metrics.ap50 > 0.5
 
-    def test_one_forward_per_image(self, monkeypatch):
+    def test_one_forward_per_chunk(self, monkeypatch):
         calls = []
         forward = PatchModel.forward
 
@@ -263,7 +278,7 @@ class TestEvaluateModel:
         monkeypatch.setattr(PatchModel, "forward", counted)
         model = PatchModel(ExperimentConfig(seed=7))
         metrics, acc = evaluate_model(model, SyntheticPatchTask(64), n_images=8)
-        assert len(calls) == 8
+        assert len(calls) == 1  # 8 images of 64 px fit one 2^16-pixel forward
         # pinned: reusing the detection logits for accuracy changes no metric
         assert metrics.as_dict() == {
             "ap50": float.fromhex("0x1.6e1c06aabfbccp-1"),
@@ -273,6 +288,29 @@ class TestEvaluateModel:
             "precision": 0.625,
         }
         assert acc == 19 / 32
+
+    @pytest.mark.parametrize("size", [64, 128])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_forwards_score_like_one_forward_per_image(self, size, seed):
+        model = PatchModel(ExperimentConfig(input_size=size, seed=seed))
+        task = SyntheticPatchTask(size)
+        # two full forwards of images and a partial one
+        n_images = 2 * (EVAL_PIXELS_PER_FORWARD // size ** 2) + 2
+        preds, gts, correct, total = [], [], 0, 0
+        for i in range(n_images):
+            li = task.sample(10_000 + i)
+            logits = model.forward(li.image, training=False)
+            preds.append(model_detections(logits, task, li))
+            gts.append(li.boxes)
+            labels = task.label_grid(li)[None]
+            correct += ((logits > 0) == (labels > 0.5)).sum()
+            total += labels.size
+        assert sum(map(len, preds)) > 0
+        expected = evaluate(preds, gts, num_classes=1)
+        result, acc = evaluate_model(model, task, n_images=n_images)
+        assert {k: v.hex() for k, v in result.as_dict().items()} == \
+            {k: v.hex() for k, v in expected.as_dict().items()}
+        assert acc == correct / total
 
     def test_sweep_rows_structure(self):
         rows = resolution_sweep(tiny_cfg(epochs=1, steps_per_epoch=2), [64],
@@ -432,6 +470,42 @@ class TestCli:
         rc = cli_main(["augment-preview", "--package", "ver2", "--seed", "1"])
         assert rc == 0
         assert "boxes in" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "{dir}"],
+        ["train", "--config", "{latin1}"],
+        ["stats", "{latin1}"],
+        ["evaluate", "--gt", "{latin1_dir}", "--preds", "{ann}"],
+        ["train", "--epochs", "1", "--steps-per-epoch", "1", "--out", "{latin1}"],
+        ["evaluate", "--gt", "{ann}", "--preds", "{ann}", "--out", "{dir}"],
+        ["train", "--lr", "nan"],
+        ["train", "--lr", "inf"],
+    ], ids=["config-is-dir", "config-not-utf8", "stats-not-utf8", "evaluate-not-utf8",
+            "train-out-is-file", "evaluate-out-is-dir", "lr-nan", "lr-inf"])
+    def test_file_and_value_errors_exit_one(self, tmp_path, capsys, argv):
+        paths = {"dir": tmp_path, "latin1": tmp_path / "l1.txt",
+                 "latin1_dir": tmp_path / "l1", "ann": tmp_path / "ann"}
+        # a comment line, valid as a config and as annotations once decoded
+        paths["latin1"].write_bytes("# caf\xe9\n".encode("latin-1"))
+        for d in ("latin1_dir", "ann"):
+            paths[d].mkdir()
+        (paths["latin1_dir"] / "a.txt").write_bytes(paths["latin1"].read_bytes())
+        (paths["ann"] / "a.txt").write_text("0 0 10 10 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main([a.format(**paths) for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_python_dash_m_moonnet(self):
+        src = str(Path(moonnet.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-m", "moonnet", "--help"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0
+        assert out.stdout.startswith("usage: moonnet")
 
     def test_config_file_merges_under_flags(self, tmp_path, capsys):
         cfgf = tmp_path / "c.cfg"
