@@ -222,9 +222,13 @@ def load_annotations(path, class_ids: dict[str, int] | None = None) -> list[BBox
 
 
 def save_annotations(path, boxes: list[BBox]):
-    """Write boxes in the simple format (score column only when present)."""
+    """Write boxes in the simple format (score column only when present),
+    each float in its shortest exact form so ``load_annotations`` reads
+    back the same values."""
     lines = []
     for b in boxes:
-        base = f"{b.x1:g} {b.y1:g} {b.x2:g} {b.y2:g} {b.class_id}"
-        lines.append(base + (f" {b.score:g}" if b.score is not None else ""))
+        fields = [repr(float(v)) for v in (b.x1, b.y1, b.x2, b.y2)] + [str(b.class_id)]
+        if b.score is not None:
+            fields.append(repr(float(b.score)))
+        lines.append(" ".join(fields))
     Path(path).write_text("\n".join(lines) + "\n")

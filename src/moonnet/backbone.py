@@ -29,6 +29,7 @@ from .tensor import (
     conv2d,
     silu,
     split_channels,
+    uniform_init,
 )
 
 __all__ = [
@@ -126,18 +127,14 @@ def build_design(design_id: int, width_multiplier: float = 1.0,
 # building blocks
 # ---------------------------------------------------------------------------
 
-def _conv_init(rng, c_out, c_in, k, dtype):
-    bound = 1.0 / np.sqrt(c_in * k * k)
-    return rng.uniform(-bound, bound, size=(c_out, c_in, k, k)).astype(dtype)
-
-
 class ConvBlock(Module):
     """conv -> batchnorm -> SiLU.  The conv has no bias: a training-mode
     batchnorm subtracts the batch mean, which would cancel it."""
 
     def __init__(self, c_in, c_out, k, rng, dtype, name, stride=1):
         self.stride, self.pad = stride, (k - 1) // 2
-        self.weight = Param(f"{name}/weight", _conv_init(rng, c_out, c_in, k, dtype))
+        self.weight = Param(f"{name}/weight",
+                            uniform_init(rng, (c_out, c_in, k, k), c_in * k * k, dtype))
         self.gamma = Param(f"{name}/bn_gamma", np.ones((c_out,), dtype=dtype))
         self.beta = Param(f"{name}/bn_beta", np.zeros((c_out,), dtype=dtype))
         self.running_mean = np.zeros((c_out,), dtype=dtype)

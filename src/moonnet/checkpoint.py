@@ -70,8 +70,14 @@ def bytes_to_tensor(data: bytes) -> np.ndarray:
 
 
 def tensor_to_bytes(arr: np.ndarray) -> bytes:
+    """Inverse of ``bytes_to_tensor``; raises CheckpointError when the length
+    prefix is missing or runs past the end of the blob."""
     blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    if len(blob) < 4:
+        raise CheckpointError(f"blob of {len(blob)} bytes has no length prefix")
     (length,) = struct.unpack_from("<I", blob)
+    if 4 + length > len(blob):
+        raise CheckpointError(f"blob length prefix {length} runs past its {len(blob) - 4} bytes")
     return blob[4:4 + length]
 
 
@@ -90,13 +96,17 @@ def save_checkpoint(tensors: list[tuple[str, np.ndarray]], path):
         parts.append(struct.pack("<B", arr.ndim))
         for d in arr.shape:
             parts.append(struct.pack("<I", d))
-        parts.append(arr.tobytes())
-    body = b"".join(parts)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    # write a sibling and rename it over path, so a failed save leaves no partial file
+        parts.append(arr.reshape(-1))
+    # write a sibling and rename it over path, so a failed save leaves no
+    # partial file; the CRC is folded over the parts as they are written
     tmp = Path(f"{path}.tmp")
     try:
-        tmp.write_bytes(body + struct.pack("<I", crc))
+        with open(tmp, "wb") as f:
+            crc = 0
+            for part in parts:
+                crc = zlib.crc32(part, crc)
+                f.write(part)
+            f.write(struct.pack("<I", crc & 0xFFFFFFFF))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -111,8 +121,9 @@ def load_checkpoint(path) -> list[tuple[str, np.ndarray]]:
         raise TruncatedError(f"{path}: file too short ({len(data)} bytes)")
     if data[:len(MAGIC)] != MAGIC:
         raise BadMagicError(f"{path}: bad magic {data[:len(MAGIC)]!r}")
-    body, crc_bytes = data[:-4], data[-4:]
-    (crc_stored,) = struct.unpack("<I", crc_bytes)
+    # slices of a memoryview share the file's bytes instead of copying them
+    body = memoryview(data)[:-4]
+    (crc_stored,) = struct.unpack("<I", data[-4:])
     if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
         raise CrcMismatchError(f"{path}: CRC mismatch")
 
@@ -130,7 +141,12 @@ def load_checkpoint(path) -> list[tuple[str, np.ndarray]]:
     tensors = []
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        raw_name = bytes(take(name_len))
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor {len(tensors)} has a non-UTF-8 name "
+                                  f"{raw_name!r}") from None
         (rank,) = struct.unpack("<B", take(1))
         dims = [struct.unpack("<I", take(4))[0] for _ in range(rank)]
         size = int(np.prod(dims)) if dims else 1

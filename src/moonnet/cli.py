@@ -65,12 +65,12 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _load_detection_dir(path: Path):
-    """One annotation file per image, paired by sorted filename."""
+def _load_detection_dir(path: Path, class_ids: dict[str, int]):
+    """One annotation file per image, in sorted filename order; DOTA class
+    names map through ``class_ids``, shared between directories."""
     files = sorted(p for p in Path(path).iterdir() if p.suffix == ".txt")
     if not files:
         raise AnnotationError(f"no .txt annotation files in {path}")
-    class_ids: dict[str, int] = {}
     return files, [load_annotations(f, class_ids) for f in files]
 
 
@@ -92,11 +92,18 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    gt_files, gts = _load_detection_dir(args.gt)
-    pred_files, preds = _load_detection_dir(args.preds)
-    gt_names = [f.name for f in gt_files]
+    # one class-name map, filled from the ground truth first
+    class_ids: dict[str, int] = {}
+    gt_files, gts = _load_detection_dir(args.gt, class_ids)
+    pred_files, preds = _load_detection_dir(args.preds, class_ids)
+    gt_names = {f.name for f in gt_files}
+    orphans = [f for f in pred_files if f.name not in gt_names]
+    if orphans:
+        raise AnnotationError(f"{orphans[0]}: no ground-truth file of the same name "
+                              f"in {args.gt}")
+    # an image with no prediction file has no detections
     pred_by_name = {f.name: p for f, p in zip(pred_files, preds)}
-    preds_aligned = [pred_by_name.get(n, []) for n in gt_names]
+    preds_aligned = [pred_by_name.get(f.name, []) for f in gt_files]
     result = evaluate(preds_aligned, gts)
     print(f"{'metric':>10s} {'value':>8s}")
     for key, val in result.as_dict().items():

@@ -19,6 +19,7 @@ __all__ = [
     "Param",
     "Module",
     "KinkTrace",
+    "uniform_init",
     "global_avg_pool",
     "global_max_pool",
     "channel_reduce_avg",
@@ -139,6 +140,12 @@ class Module:
     def zero_grad(self):
         for p in self.parameters():
             p.zero_grad()
+
+
+def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
+    """Weights drawn uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)), cast to dtype."""
+    bound = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
 class KinkTrace:

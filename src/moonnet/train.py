@@ -20,7 +20,7 @@ from .checkpoint import (META_PREFIX, CheckpointError, bytes_to_tensor, load_che
                          save_checkpoint, tensor_to_bytes)
 from .config import ExperimentConfig, parse_config_text
 from .metrics import EvalResult, evaluate
-from .tensor import Module, Param, Tensor4, clipped_sigmoid, conv2d
+from .tensor import Module, Param, Tensor4, clipped_sigmoid, conv2d, uniform_init
 
 __all__ = [
     "sgd_step",
@@ -143,9 +143,7 @@ class PatchModel(Module):
         self.backbone = Backbone(design, seed=cfg.seed)
         c_last = design.stages[-1].out_channels
         rng = np.random.default_rng([cfg.seed, 1000])
-        bound = 1.0 / np.sqrt(c_last)
-        self.head_w = Param("head/weight",
-                            rng.uniform(-bound, bound, (1, c_last, 1, 1)).astype(np.float32))
+        self.head_w = Param("head/weight", uniform_init(rng, (1, c_last, 1, 1), c_last, np.float32))
         self.head_b = Param("head/bias", np.zeros((1,), dtype=np.float32))
         self._tape = None
 
@@ -187,7 +185,6 @@ class TrainResult:
     final_accuracy: float
     model: "PatchModel | None" = None
     checkpoint_path: Path | None = None
-    best_checkpoint_path: Path | None = None
 
 
 def _batch_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -254,8 +251,7 @@ def train(cfg: ExperimentConfig, out_dir=None, target_accuracy: float | None = N
                         for i, (l, a) in enumerate(zip(losses, accs)))
         (out_dir / "train_log.txt").write_text("step loss accuracy\n" + log + "\n")
     return TrainResult(losses=losses, accuracies=accs, steps_run=len(losses),
-                       final_accuracy=final_acc, model=model, checkpoint_path=ckpt_path,
-                       best_checkpoint_path=best_path)
+                       final_accuracy=final_acc, model=model, checkpoint_path=ckpt_path)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +286,16 @@ def load_model_checkpoint(path) -> tuple[PatchModel, ExperimentConfig, dict]:
             raise CheckpointError(f"{path}: missing tensor {name!r}")
         return by_name.pop(name)
 
-    cfg = parse_config_text(tensor_to_bytes(take(META_PREFIX + "config")).decode())
-    cfg.validate()
-    rng_state = json.loads(tensor_to_bytes(take(META_PREFIX + "rng")).decode())
+    def meta(key, parse):
+        name = META_PREFIX + key
+        blob = take(name)
+        try:
+            return parse(tensor_to_bytes(blob).decode("utf-8"))
+        except (CheckpointError, ValueError) as e:  # ConfigError and decode errors too
+            raise CheckpointError(f"{path}: tensor {name!r}: {e}") from None
+
+    cfg = meta("config", lambda text: parse_config_text(text).validate())
+    rng_state = meta("rng", json.loads)
     model = PatchModel(cfg)
     for name, arr in model.named_tensors():
         value = take(name)

@@ -277,6 +277,22 @@ class TestIdentitySafeInit:
         x = random_input((1, 8, 4, 4), seed=45)
         assert np.array_equal(cb.forward(x).values, x.values)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("gate", list(GateKind))
+    @pytest.mark.parametrize("cls", [SEBlock, CBAMBlock])
+    def test_reinit_equals_construction_with_seed(self, cls, gate, dtype):
+        for s in (0, 7):
+            block = cls(24, gate=gate, rng=np.random.default_rng(99), dtype=dtype)
+            randomize(block, seed=s + 1)
+            identity_safe_init(block, s)
+            fresh = cls(24, gate=gate, rng=np.random.default_rng(s), dtype=dtype)
+            pairs = list(zip(block.named_tensors(), fresh.named_tensors()))
+            assert len(pairs) == (6 if cls is CBAMBlock else 4)
+            for (name, a), (fresh_name, b) in pairs:
+                assert name == fresh_name
+                assert a.dtype == b.dtype == dtype
+                assert a.tobytes() == b.tobytes(), name
+
     def test_gate_activates_after_one_sgd_step(self):
         se = SEBlock(8, gate=GateKind.RESIDUAL_TANH, rng=np.random.default_rng(50))
         x = random_input((1, 8, 4, 4), seed=51)

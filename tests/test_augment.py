@@ -210,6 +210,18 @@ class TestAnnotationIO:
             assert (a.x1, a.y1, a.x2, a.y2, a.class_id, a.score) == \
                    (b.x1, b.y1, b.x2, b.y2, b.class_id, b.score)
 
+    def test_seeded_round_trip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(12)
+        boxes = [BBox(63.9999991, 1, 63.9999999, 2)]
+        for _ in range(200):
+            x1, y1 = rng.uniform(0, 512, 2)
+            w, h = rng.uniform(1e-6, 40, 2)
+            score = float(rng.uniform()) if rng.random() < 0.5 else None
+            boxes.append(BBox(x1, y1, x1 + w, y1 + h, int(rng.integers(5)), score=score))
+        p = tmp_path / "seeded.txt"
+        save_annotations(p, boxes)
+        assert load_annotations(p) == boxes
+
     def test_dota_polygon_to_enclosing_box(self, tmp_path):
         p = tmp_path / "dota.txt"
         p.write_text("10 10 30 12 28 40 9 38 small-vehicle 0\n"

@@ -140,6 +140,16 @@ class TestCorruption:
         with pytest.raises(TruncatedError):
             load_checkpoint(p)
 
+    def test_non_utf8_name_is_checkpoint_error(self, tmp_path):
+        p = tmp_path / "a.ckpt"
+        save_checkpoint([("ok", np.ones(2, np.float32)), ("ab", np.ones(2, np.float32))], p)
+        data = p.read_bytes()[:-4]
+        i = data.index(b"ab")
+        data = data[:i] + b"\xff\xfe" + data[i + 2:]
+        p.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+        with pytest.raises(CheckpointError, match=r"tensor 1 has a non-UTF-8 name b'\\xff\\xfe'"):
+            load_checkpoint(p)
+
     def test_errors_share_base_class(self):
         for exc in (BadMagicError, CrcMismatchError, TruncatedError):
             assert issubclass(exc, CheckpointError)
@@ -157,6 +167,14 @@ class TestMetadataBlobs:
         arr = bytes_to_tensor(text.encode())
         assert arr.ndim == 1
         assert tensor_to_bytes(arr).decode() == text
+
+    def test_blob_without_length_prefix_rejected(self):
+        with pytest.raises(CheckpointError, match="no length prefix"):
+            tensor_to_bytes(np.zeros(0, np.float32))
+
+    def test_length_prefix_past_end_rejected(self):
+        with pytest.raises(CheckpointError, match="runs past"):
+            tensor_to_bytes(bytes_to_tensor(b"12345678")[:2])
 
     def test_blob_survives_checkpoint(self, tmp_path):
         p = tmp_path / "m.ckpt"

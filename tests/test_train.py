@@ -13,7 +13,8 @@ import pytest
 import moonnet
 from moonnet.attention import GateKind
 from moonnet.augment import AugmentPackage
-from moonnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from moonnet.checkpoint import (CheckpointError, bytes_to_tensor, load_checkpoint,
+                                save_checkpoint)
 from moonnet.cli import main as cli_main
 from moonnet.config import ConfigError, ExperimentConfig, parse_config_text
 from moonnet.metrics import evaluate
@@ -246,6 +247,20 @@ class TestCheckpointGlue:
         with pytest.raises(CheckpointError, match="'stage1/conv/bn_gamma' has shape"):
             load_model_checkpoint(p)
 
+    @pytest.mark.parametrize("name, blob", [
+        ("config", bytes_to_tensor(b"\xff\xfe")),
+        ("rng", bytes_to_tensor(b"{\"a\": \"\xe9\"}")),
+        ("config", np.zeros(0, np.float32)),
+        ("config", bytes_to_tensor(b"design_id=9\n")),
+        ("config", bytes_to_tensor(b"design_id=5\n")[:2]),
+    ], ids=["config-not-utf8", "rng-not-utf8", "blob-under-4-bytes", "bad-config",
+            "length-past-end"])
+    def test_malformed_metadata_is_checkpoint_error_naming_it(self, tmp_path, name, blob):
+        p = self._rewritten(tmp_path, lambda ts: [
+            (n, blob if n == "__meta__/" + name else a) for n, a in ts])
+        with pytest.raises(CheckpointError, match=f"tensor '__meta__/{name}': "):
+            load_model_checkpoint(p)
+
     def test_conv_bias_of_older_layout_is_refused(self, tmp_path):
         # ConvBlock convs carried a bias before; batchnorm running means
         # saved with one do not fit a model without it
@@ -466,6 +481,29 @@ class TestCli:
         assert rc == 0
         assert "ap50" in capsys.readouterr().out
 
+    def test_evaluate_shares_dota_class_names_between_dirs(self, tmp_path, capsys):
+        gt, pr = tmp_path / "gt", tmp_path / "pr"
+        gt.mkdir(), pr.mkdir()
+        plane, ship = "0 0 10 0 10 10 0 10 plane 0", "20 20 30 20 30 30 20 30 ship 0"
+        (gt / "i.txt").write_text(f"{plane}\n{ship}\n")
+        # the same boxes, the class names first seen in the other order
+        (pr / "i.txt").write_text(f"{ship}\n{plane}\n")
+        out = tmp_path / "m.txt"
+        rc = cli_main(["evaluate", "--gt", str(gt), "--preds", str(pr), "--out", str(out)])
+        assert rc == 0
+        assert "ap50=1.000000" in out.read_text().splitlines()
+
+    def test_evaluate_missing_pred_file_means_no_detections(self, tmp_path, capsys):
+        gt, pr = tmp_path / "gt", tmp_path / "pr"
+        gt.mkdir(), pr.mkdir()
+        (gt / "a.txt").write_text("0 0 10 10 0\n")
+        (gt / "b.txt").write_text("0 0 10 10 0\n")
+        (pr / "a.txt").write_text("0 0 10 10 0 0.9\n")
+        out = tmp_path / "m.txt"
+        rc = cli_main(["evaluate", "--gt", str(gt), "--preds", str(pr), "--out", str(out)])
+        assert rc == 0
+        assert "recall=0.500000" in out.read_text().splitlines()
+
     def test_augment_preview(self, capsys):
         rc = cli_main(["augment-preview", "--package", "ver2", "--seed", "1"])
         assert rc == 0
@@ -480,17 +518,22 @@ class TestCli:
         ["evaluate", "--gt", "{ann}", "--preds", "{ann}", "--out", "{dir}"],
         ["train", "--lr", "nan"],
         ["train", "--lr", "inf"],
+        ["evaluate", "--gt", "{ann}", "--preds", "{orphan_dir}"],
     ], ids=["config-is-dir", "config-not-utf8", "stats-not-utf8", "evaluate-not-utf8",
-            "train-out-is-file", "evaluate-out-is-dir", "lr-nan", "lr-inf"])
+            "train-out-is-file", "evaluate-out-is-dir", "lr-nan", "lr-inf",
+            "evaluate-orphan-pred"])
     def test_file_and_value_errors_exit_one(self, tmp_path, capsys, argv):
         paths = {"dir": tmp_path, "latin1": tmp_path / "l1.txt",
-                 "latin1_dir": tmp_path / "l1", "ann": tmp_path / "ann"}
+                 "latin1_dir": tmp_path / "l1", "ann": tmp_path / "ann",
+                 "orphan_dir": tmp_path / "orphan"}
         # a comment line, valid as a config and as annotations once decoded
         paths["latin1"].write_bytes("# caf\xe9\n".encode("latin-1"))
-        for d in ("latin1_dir", "ann"):
+        for d in ("latin1_dir", "ann", "orphan_dir"):
             paths[d].mkdir()
         (paths["latin1_dir"] / "a.txt").write_bytes(paths["latin1"].read_bytes())
         (paths["ann"] / "a.txt").write_text("0 0 10 10 0\n")
+        # a prediction file whose name matches no ground-truth file
+        (paths["orphan_dir"] / "A.txt").write_text("0 0 10 10 0 0.9\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli_main([a.format(**paths) for a in argv])
