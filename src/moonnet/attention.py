@@ -73,12 +73,13 @@ class SEBlock(Module):
     """Squeeze-and-excitation: global average pool, bottleneck MLP, channel gate.
 
     Constructed identity-safe: the output projection (W2, b2) starts at zero,
-    so the channel logits are zero for any input.
+    so the channel logits are zero for any input.  ``rng`` is a Generator or
+    a seed for the W1/b1 draw; ``None`` leaves every parameter zero.
     """
 
     def __init__(self, channels: int, reduction: int = 16,
                  gate: GateKind = GateKind.RESIDUAL_TANH,
-                 rng: np.random.Generator | None = None,
+                 rng: np.random.Generator | int | None = 0,
                  dtype=np.float32, name: str = "se"):
         self.channels = channels
         self.m = bottleneck_width(channels, reduction)
@@ -88,7 +89,8 @@ class SEBlock(Module):
         self.w2 = Param(f"{name}/w2", np.zeros((channels, self.m), dtype=dtype))
         self.b2 = Param(f"{name}/b2", np.zeros((channels,), dtype=dtype))
         self._tape = None
-        self._init(np.random.default_rng(0) if rng is None else rng)
+        if rng is not None:
+            self._init(np.random.default_rng(rng))
 
     def _init(self, rng: np.random.Generator):
         """Identity-safe init: every parameter zeroed, then W1 and b1 drawn
@@ -155,7 +157,7 @@ class CBAMBlock(SEBlock):
 
     def __init__(self, channels: int, reduction: int = 16, kernel_size: int = 7,
                  gate: GateKind = GateKind.RESIDUAL_TANH,
-                 rng: np.random.Generator | None = None,
+                 rng: np.random.Generator | int | None = 0,
                  dtype=np.float32, name: str = "cbam"):
         if kernel_size % 2 == 0:
             raise ValueError(f"spatial kernel size must be odd, got {kernel_size}")

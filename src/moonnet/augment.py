@@ -224,9 +224,13 @@ def load_annotations(path, class_ids: dict[str, int] | None = None) -> list[BBox
 def save_annotations(path, boxes: list[BBox]):
     """Write boxes in the simple format (score column only when present),
     each float in its shortest exact form so ``load_annotations`` reads
-    back the same values."""
+    back the same values.  The format has no column for the difficult
+    flag, so a difficult box raises AnnotationError and nothing is written."""
     lines = []
-    for b in boxes:
+    for i, b in enumerate(boxes):
+        if b.difficult:
+            raise AnnotationError(f"{path}: box {i} {b} is marked difficult, and the "
+                                  f"simple format has no column for the flag")
         fields = [repr(float(v)) for v in (b.x1, b.y1, b.x2, b.y2)] + [str(b.class_id)]
         if b.score is not None:
             fields.append(repr(float(b.score)))

@@ -129,12 +129,15 @@ def build_design(design_id: int, width_multiplier: float = 1.0,
 
 class ConvBlock(Module):
     """conv -> batchnorm -> SiLU.  The conv has no bias: a training-mode
-    batchnorm subtracts the batch mean, which would cancel it."""
+    batchnorm subtracts the batch mean, which would cancel it.  With
+    ``rng=None`` the kernel is zeros instead of drawn."""
 
     def __init__(self, c_in, c_out, k, rng, dtype, name, stride=1):
         self.stride, self.pad = stride, (k - 1) // 2
+        shape = (c_out, c_in, k, k)
         self.weight = Param(f"{name}/weight",
-                            uniform_init(rng, (c_out, c_in, k, k), c_in * k * k, dtype))
+                            np.zeros(shape, dtype=dtype) if rng is None
+                            else uniform_init(rng, shape, c_in * k * k, dtype))
         self.gamma = Param(f"{name}/bn_gamma", np.ones((c_out,), dtype=dtype))
         self.beta = Param(f"{name}/bn_beta", np.zeros((c_out,), dtype=dtype))
         self.running_mean = np.zeros((c_out,), dtype=dtype)
@@ -232,10 +235,10 @@ class Stage(Module):
 
     def __init__(self, c_in, spec: StageSpec, design: BackboneDesign, seed, idx, dtype):
         # dedicated streams per component so attention draws never shift the
-        # conv weights between designs
-        conv_rng = np.random.default_rng([seed, idx, 0])
-        att_rng = np.random.default_rng([seed, idx, 1])
-        c2f_rng = np.random.default_rng([seed, idx, 2])
+        # conv weights between designs; no seed, no streams and no draws
+        conv_rng, att_rng, c2f_rng = (
+            [None] * 3 if seed is None
+            else [np.random.default_rng([seed, idx, j]) for j in range(3)])
         self.conv = ConvBlock(c_in, spec.out_channels, 3, conv_rng, dtype,
                               f"stage{idx}/conv", stride=2)
         self.attention = _make_attention(spec.attention, spec.out_channels, design.gate,
@@ -261,9 +264,13 @@ class Stage(Module):
 
 
 class Backbone(Module):
-    """Full stage pipeline; forward emits every stage output for pyramid use."""
+    """Full stage pipeline; forward emits every stage output for pyramid use.
 
-    def __init__(self, design: BackboneDesign, seed: int = 0, dtype=np.float32):
+    ``seed=None`` builds the same tensors without drawing any: every drawn
+    weight is zeros, for a caller that fills them from a checkpoint.
+    """
+
+    def __init__(self, design: BackboneDesign, seed: int | None = 0, dtype=np.float32):
         self.stages = []
         c = IN_CHANNELS
         for i, spec in enumerate(design.stages):

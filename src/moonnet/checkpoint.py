@@ -12,7 +12,8 @@ Layout (all little-endian):
     u32       CRC32 of every preceding byte
 
 Only float32 tensors are saved; any other dtype raises CheckpointError
-rather than being rounded to float32 on the way out.
+rather than being rounded to float32 on the way out.  Loaded tensors are
+read-only views of the file's bytes.
 
 Arbitrary metadata (config echo, RNG state) rides along as byte blobs
 packed into float32 tensors with a length prefix, so round-trips are
@@ -21,6 +22,7 @@ byte-exact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -114,8 +116,9 @@ def save_checkpoint(tensors: list[tuple[str, np.ndarray]], path):
 
 
 def load_checkpoint(path) -> list[tuple[str, np.ndarray]]:
-    """Read named tensors back; raises distinct errors for bad magic,
-    CRC mismatch, and truncation."""
+    """Read named tensors back as read-only views of the file's bytes, so a
+    caller copies each one at most once, into its own storage.  Raises
+    distinct errors for bad magic, CRC mismatch, and truncation."""
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 8:
         raise TruncatedError(f"{path}: file too short ({len(data)} bytes)")
@@ -149,9 +152,7 @@ def load_checkpoint(path) -> list[tuple[str, np.ndarray]]:
                                   f"{raw_name!r}") from None
         (rank,) = struct.unpack("<B", take(1))
         dims = [struct.unpack("<I", take(4))[0] for _ in range(rank)]
-        size = int(np.prod(dims)) if dims else 1
-        raw = take(4 * size)
-        tensors.append((name, np.frombuffer(raw, dtype="<f4").reshape(dims).copy()))
+        tensors.append((name, np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)))
     if off != len(body):
         raise TruncatedError(f"{path}: {len(body) - off} trailing bytes")
     return tensors

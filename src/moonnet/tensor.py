@@ -143,7 +143,10 @@ class Module:
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    """Weights drawn uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)), cast to dtype."""
+    """Weights drawn uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)), cast to dtype.
+    Every drawn weight comes from here; a module built without a generator
+    (``rng=None``, as ``load_model_checkpoint`` builds its model) calls it not
+    at all and leaves those weights zero."""
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 

@@ -136,14 +136,21 @@ class SyntheticPatchTask:
 # ---------------------------------------------------------------------------
 
 class PatchModel(Module):
-    """Backbone plus a 1x1 conv head emitting one presence logit per cell."""
+    """Backbone plus a 1x1 conv head emitting one presence logit per cell.
 
-    def __init__(self, cfg: ExperimentConfig):
+    ``draw=False`` builds the same tensors without drawing any (every drawn
+    weight is zeros), for ``load_model_checkpoint`` to fill from a file.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, draw: bool = True):
         design = build_design(cfg.design_id, cfg.width, cfg.gate)
-        self.backbone = Backbone(design, seed=cfg.seed)
+        seed = cfg.seed if draw else None
+        self.backbone = Backbone(design, seed=seed)
         c_last = design.stages[-1].out_channels
-        rng = np.random.default_rng([cfg.seed, 1000])
-        self.head_w = Param("head/weight", uniform_init(rng, (1, c_last, 1, 1), c_last, np.float32))
+        shape = (1, c_last, 1, 1)
+        self.head_w = Param("head/weight", np.zeros(shape, dtype=np.float32) if seed is None
+                            else uniform_init(np.random.default_rng([seed, 1000]), shape,
+                                              c_last, np.float32))
         self.head_b = Param("head/bias", np.zeros((1,), dtype=np.float32))
         self._tape = None
 
@@ -232,12 +239,13 @@ def train(cfg: ExperimentConfig, out_dir=None, target_accuracy: float | None = N
             raise TrainingDiverged(f"non-finite loss at step {step}")
         losses.append(loss)
         accs.append(_batch_accuracy(logits, labels))
-        opt.zero_grad()
-        model.backward(gl)
-        opt.step()
+        # the weights that gave this loss, before the update moves them
         if loss < best_loss and best_path is not None:
             best_loss = loss
             best_state = [(n, a.copy()) for n, a in model.named_tensors()]
+        opt.zero_grad()
+        model.backward(gl)
+        opt.step()
         if target_accuracy is not None and len(accs) >= 20 \
                 and float(np.mean(accs[-20:])) >= target_accuracy:
             break
@@ -276,9 +284,11 @@ def save_model_checkpoint(model: PatchModel, cfg: ExperimentConfig, path,
 
 
 def load_model_checkpoint(path) -> tuple[PatchModel, ExperimentConfig, dict]:
-    """Rebuild the model a checkpoint was saved from.  Raises CheckpointError
-    naming the tensor when one is missing, has the wrong shape, or is not
-    part of the model, so no checkpoint of another layout loads in part."""
+    """Rebuild the model a checkpoint was saved from.  The model is built
+    without drawing weights, and each tensor is copied once, from a view of
+    the file's bytes into the model.  Raises CheckpointError naming the
+    tensor when one is missing, has the wrong shape, or is not part of the
+    model, so no checkpoint of another layout loads in part."""
     by_name = dict(load_checkpoint(path))
 
     def take(name):
@@ -296,7 +306,7 @@ def load_model_checkpoint(path) -> tuple[PatchModel, ExperimentConfig, dict]:
 
     cfg = meta("config", lambda text: parse_config_text(text).validate())
     rng_state = meta("rng", json.loads)
-    model = PatchModel(cfg)
+    model = PatchModel(cfg, draw=False)
     for name, arr in model.named_tensors():
         value = take(name)
         if value.shape != arr.shape:
@@ -312,10 +322,11 @@ def load_model_checkpoint(path) -> tuple[PatchModel, ExperimentConfig, dict]:
 # evaluation and the resolution sweep
 # ---------------------------------------------------------------------------
 
-def _refine_cell_box(image: np.ndarray, gy: int, gx: int, cell: int) -> BBox:
+def _refine_cell_box(brightness: np.ndarray, gy: int, gx: int, cell: int) -> BBox:
     """Localize the bright blob inside a confident cell: bounding box of the
-    pixels within 0.15 of the cell's peak brightness."""
-    patch = image.mean(axis=0)[gy * cell:(gy + 1) * cell, gx * cell:(gx + 1) * cell]
+    pixels within 0.15 of the cell's peak ``brightness`` (the image's
+    channel mean, shape (h, w))."""
+    patch = brightness[gy * cell:(gy + 1) * cell, gx * cell:(gx + 1) * cell]
     mask = patch >= patch.max() - 0.15
     ys, xs = np.nonzero(mask)
     x1, x2 = gx * cell + xs.min(), gx * cell + xs.max() + 1
@@ -328,12 +339,13 @@ def model_detections(logits: np.ndarray, task: SyntheticPatchTask,
     """One detection per confident cell of ``li``'s model logits (shape
     (1, 1, grid, grid)), localized to the bright blob."""
     probs = clipped_sigmoid(logits[0, 0])
+    brightness = li.image.values[0].mean(axis=0)
     out = []
     for gy in range(task.grid):
         for gx in range(task.grid):
             p = float(probs[gy, gx])
             if p >= threshold:
-                box = _refine_cell_box(li.image.values[0], gy, gx, task.CELL)
+                box = _refine_cell_box(brightness, gy, gx, task.CELL)
                 out.append(replace(box, score=p))
     return out
 

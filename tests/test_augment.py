@@ -222,6 +222,14 @@ class TestAnnotationIO:
         save_annotations(p, boxes)
         assert load_annotations(p) == boxes
 
+    def test_difficult_box_is_refused_not_saved_as_ordinary(self, tmp_path):
+        # the simple format has no difficult column: a save used to drop the
+        # flag, and evaluate() would then score the box as ordinary ground truth
+        p = tmp_path / "hard.txt"
+        with pytest.raises(AnnotationError, match=r"box 1 .*difficult"):
+            save_annotations(p, [BBox(1, 1, 4, 4, 0), BBox(0, 0, 5, 5, 1, difficult=True)])
+        assert not p.exists()
+
     def test_dota_polygon_to_enclosing_box(self, tmp_path):
         p = tmp_path / "dota.txt"
         p.write_text("10 10 30 12 28 40 9 38 small-vehicle 0\n"

@@ -79,6 +79,15 @@ class TestRoundTrip:
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_loaded_tensors_are_read_only_views(self, tmp_path):
+        # a load copies nothing, so a caller copies each tensor once
+        p = tmp_path / "a.ckpt"
+        save_checkpoint(sample_tensors(), p)
+        for _, arr in load_checkpoint(p):
+            assert not arr.flags.writeable and not arr.flags.owndata
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
     def test_scalar_rank_zero(self, tmp_path):
         p = tmp_path / "s.ckpt"
         save_checkpoint([("lr", np.float32(0.01).reshape(()))], p)

@@ -1,6 +1,7 @@
 """Optimizer, synthetic task, training-loop, config, and CLI tests."""
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from moonnet.checkpoint import (CheckpointError, bytes_to_tensor, load_checkpoin
 from moonnet.cli import main as cli_main
 from moonnet.config import ConfigError, ExperimentConfig, parse_config_text
 from moonnet.metrics import evaluate
+from moonnet.tensor import clipped_sigmoid
 from moonnet.train import (
     EVAL_PIXELS_PER_FORWARD,
     PatchModel,
@@ -164,6 +166,31 @@ class TestPatchModel:
             x, training=False)
         assert np.array_equal(l0, l5)
 
+    # sha256 of every named tensor's name, dtype, shape and bytes, in
+    # checkpoint order, taken before model construction learned to skip draws;
+    # the gate does not enter the init, so both gates share a digest
+    @pytest.mark.parametrize("design_id, width, gate, seed, digest", [
+        (5, 0.25, GateKind.RESIDUAL_TANH, 0,
+         "b49976543be17b4c77fa2d04ce49f67543f112c871d6ecdf0c6e1dd19cffcb12"),
+        (5, 0.25, GateKind.RESIDUAL_TANH, 3,
+         "31e67e5a86f83e1f3e11b8acb753725299fc2ab4f78469bf511d66b9dc31bc6c"),
+        (5, 0.25, GateKind.SIGMOID_ORIGINAL, 0,
+         "b49976543be17b4c77fa2d04ce49f67543f112c871d6ecdf0c6e1dd19cffcb12"),
+        (5, 0.25, GateKind.SIGMOID_ORIGINAL, 3,
+         "31e67e5a86f83e1f3e11b8acb753725299fc2ab4f78469bf511d66b9dc31bc6c"),
+        (2, 0.125, GateKind.SIGMOID_ORIGINAL, 1,
+         "eced444d135f99b03c42c3585a33d151572fc692f5d598c7fc89938ede3ee49f"),
+        (0, 0.125, GateKind.SIGMOID_ORIGINAL, 1,
+         "ce6781392b465e3770175fbeffb822bf238ee183b8191c609113eb76686c4543"),
+    ])
+    def test_initial_weights_pinned(self, design_id, width, gate, seed, digest):
+        cfg = ExperimentConfig(design_id=design_id, width=width, gate=gate, seed=seed)
+        h = hashlib.sha256()
+        for name, arr in PatchModel(cfg).named_tensors():
+            h.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest
+
 
 class TestTrainLoop:
     def test_deterministic_loss_log(self):
@@ -186,6 +213,14 @@ class TestTrainLoop:
         assert first[0] == "0" and float(first[1]) == pytest.approx(result.losses[0], abs=1e-6)
         assert (tmp_path / "final.ckpt").exists()
         assert (tmp_path / "best.ckpt").exists()
+
+    def test_best_checkpoint_holds_the_weights_of_the_best_loss(self, tmp_path):
+        cfg = tiny_cfg(lr=0.005, momentum=0.0)
+        result = train(cfg, out_dir=tmp_path, fixed_batch=True)
+        model, _, _ = load_model_checkpoint(tmp_path / "best.ckpt")
+        x, labels, _ = SyntheticPatchTask(cfg.input_size).batch(range(cfg.batch))
+        loss, _ = bce_with_logits(model.forward(x, training=True), labels)
+        assert loss.hex() == min(result.losses).hex()
 
     def test_target_accuracy_stops_early(self):
         cfg = tiny_cfg(epochs=1, steps_per_epoch=400)
@@ -228,6 +263,26 @@ class TestCheckpointGlue:
         save_model_checkpoint(PatchModel(cfg), cfg, p)
         save_checkpoint(edit(load_checkpoint(p)), p)
         return p
+
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        p, resaved = tmp_path / "m.ckpt", tmp_path / "resaved.ckpt"
+        save_model_checkpoint(train(cfg).model, cfg, p)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a weight was drawn")
+
+        patched = [m for name, m in sys.modules.items()
+                   if name.split(".")[0] == "moonnet" and hasattr(m, "uniform_init")]
+        assert len(patched) >= 4  # tensor, backbone, attention, train
+        for m in patched:
+            monkeypatch.setattr(m, "uniform_init", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(AssertionError, match="drawn"):
+            PatchModel(cfg)
+        model, cfg2, _ = load_model_checkpoint(p)
+        save_model_checkpoint(model, cfg2, resaved)
+        assert resaved.read_bytes() == p.read_bytes()
 
     def test_missing_tensor_is_checkpoint_error_naming_it(self, tmp_path):
         p = self._rewritten(tmp_path, lambda ts: [t for t in ts if t[0] != "stage2/conv/bn_beta"])
@@ -326,6 +381,24 @@ class TestEvaluateModel:
         assert {k: v.hex() for k, v in result.as_dict().items()} == \
             {k: v.hex() for k, v in expected.as_dict().items()}
         assert acc == correct / total
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_detections_localize_on_the_cell_channel_mean(self, seed):
+        # threshold 0 makes every cell confident; each box is the bounding box
+        # of the cell's pixels within 0.15 of its brightest channel mean
+        task = SyntheticPatchTask(128)
+        li = task.sample(seed)
+        logits = np.random.default_rng(seed).standard_normal((1, 1, task.grid, task.grid))
+        boxes = model_detections(logits, task, li, threshold=0.0)
+        assert len(boxes) == task.grid ** 2
+        cell, image = task.CELL, li.image.values[0]
+        for box, (gy, gx) in zip(boxes, np.ndindex(task.grid, task.grid)):
+            patch = image.mean(axis=0)[gy * cell:(gy + 1) * cell, gx * cell:(gx + 1) * cell]
+            ys, xs = np.nonzero(patch >= patch.max() - 0.15)
+            assert (box.x1, box.y1, box.x2, box.y2) == (
+                gx * cell + xs.min(), gy * cell + ys.min(),
+                gx * cell + xs.max() + 1, gy * cell + ys.max() + 1)
+            assert box.score == float(clipped_sigmoid(logits[0, 0])[gy, gx])
 
     def test_sweep_rows_structure(self):
         rows = resolution_sweep(tiny_cfg(epochs=1, steps_per_epoch=2), [64],
