@@ -39,7 +39,8 @@ class AnnotationError(ValueError):
 
 @dataclass
 class BBox:
-    """Axis-aligned box in finite pixel coordinates, x1 < x2 and y1 < y2."""
+    """Axis-aligned box in finite pixel coordinates, x1 < x2 and y1 < y2,
+    with a non-negative class id."""
     x1: float
     y1: float
     x2: float
@@ -53,6 +54,8 @@ class BBox:
             raise ValueError(f"non-finite box ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise ValueError(f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
+        if self.class_id < 0:
+            raise ValueError(f"class id must be non-negative, got {self.class_id}")
         if self.score is not None and not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 

@@ -152,7 +152,11 @@ def load_checkpoint(path) -> list[tuple[str, np.ndarray]]:
                                   f"{raw_name!r}") from None
         (rank,) = struct.unpack("<B", take(1))
         dims = [struct.unpack("<I", take(4))[0] for _ in range(rank)]
-        tensors.append((name, np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)))
+        values = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")
+        try:
+            tensors.append((name, values.reshape(dims)))
+        except ValueError as e:  # rank above NumPy's limit, or too many elements
+            raise CheckpointError(f"{path}: tensor {name!r} of rank {rank}: {e}") from None
     if off != len(body):
         raise TruncatedError(f"{path}: {len(body) - off} trailing bytes")
     return tensors

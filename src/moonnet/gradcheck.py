@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from .attention import CBAMBlock, GateKind, SEBlock
 from .backbone import Backbone, build_design
-from .tensor import KinkTrace, Module, Tensor4
+from .tensor import KinkTrace, Tensor4
 
 __all__ = [
     "GradReport",
@@ -70,7 +70,7 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
 
 
-def check_sites(op_name, loss_fn, sites, analytic, eps=DEFAULT_EPS, tol=DEFAULT_TOL):
+def check_sites(op_name, loss_fn, sites, analytic):
     """Compare analytic gradients against finite differences per site.
 
     ``sites`` maps site name -> array perturbed in place; ``analytic`` maps
@@ -78,11 +78,11 @@ def check_sites(op_name, loss_fn, sites, analytic, eps=DEFAULT_EPS, tol=DEFAULT_
     """
     reports = []
     for name, theta in sites.items():
-        fd = fd_gradient(loss_fn, theta, eps)
+        fd = fd_gradient(loss_fn, theta)
         an = np.asarray(analytic[name], dtype=np.float64)
         abs_err = np.abs(an - fd)
         rel = rel_err(an, fd)
-        ok = (rel < tol) | (abs_err < DEFAULT_FLOOR)
+        ok = (rel < DEFAULT_TOL) | (abs_err < DEFAULT_FLOOR)
         reports.append(GradReport(
             op_name=op_name, param_site=name,
             max_rel_err=float(rel.max()) if rel.size else 0.0,
@@ -96,55 +96,42 @@ def _draw(rng, shape):
     return rng.standard_normal(shape).astype(np.float64)
 
 
-def _draw_safe(make_loss, rng):
-    """Redraw (at most 50 times) until no kink margin is below KINK_MARGIN.
+def _case(rng, name, f, inputs, params=()):
+    """Gradcheck one function on fresh draws: every input and every param.
 
-    ``make_loss`` draws fresh tensors from rng and returns (loss_fn, sites,
-    analytic_fn); loss_fn is probed once under a KinkTrace.
+    ``inputs`` maps site name -> shape, or -> a function of the rng for a
+    non-standard draw.  ``f(*arrays)`` returns ``(*outputs, backward)``, and
+    ``backward(*weights)`` returns the input gradients and leaves those of
+    ``params`` in ``Param.grad``.  The loss weights each output by a draw of
+    its shape, taken after the inputs.  A draw with a kink margin below
+    KINK_MARGIN is redrawn, at most 50 times.
     """
     for _ in range(50):
-        loss_fn, sites, analytic = make_loss(rng)
+        xs = {k: s(rng) if callable(s) else _draw(rng, s) for k, s in inputs.items()}
+        *outs, _ = f(*xs.values())
+        ws = [_draw(rng, o.shape) for o in outs]
+
+        def loss():
+            *outs, _ = f(*xs.values())
+            return sum(float((o.values * w).sum()) for o, w in zip(outs, ws))
+
         with KinkTrace() as trace:
-            loss_fn()
+            loss()
         if trace.min_margin >= KINK_MARGIN:
-            return loss_fn, sites, analytic
-    raise RuntimeError("could not draw a kink-free configuration")
+            break
+    else:
+        raise RuntimeError("could not draw a kink-free configuration")
+    for p in params:
+        p.zero_grad()
+    *_, backward = f(*xs.values())
+    analytic = dict(zip(xs, backward(*ws)))
+    analytic.update((p.name, p.grad.copy()) for p in params)
+    return check_sites(name, loss, {**xs, **{p.name: p.value for p in params}}, analytic)
 
 
 # ---------------------------------------------------------------------------
 # primitive operator checks
 # ---------------------------------------------------------------------------
-
-def _weighted_sum(out_values, weights):
-    return float((out_values * weights).sum())
-
-
-def _op_case(rng, op_name, op, inputs):
-    """Gradcheck one operator on fresh draws.
-
-    ``inputs`` maps site name -> shape, or -> a function of the rng for a
-    non-standard draw; ``op(*arrays)`` returns ``(*outputs, backward)``.
-    The loss weights each output by a draw of its shape, taken after the
-    inputs; draws near a kink are redrawn.
-    """
-    def make(r):
-        xs = {k: s(r) if callable(s) else _draw(r, s) for k, s in inputs.items()}
-        *outs, _ = op(*xs.values())
-        ws = [_draw(r, o.shape) for o in outs]
-
-        def loss():
-            *outs, _ = op(*xs.values())
-            return sum(_weighted_sum(o.values, w) for o, w in zip(outs, ws))
-
-        def analytic():
-            *_, bwd = op(*xs.values())
-            return dict(zip(xs, bwd(*ws)))
-
-        return loss, xs, analytic
-
-    loss, sites, analytic = _draw_safe(make, rng)
-    return check_sites(op_name, loss, sites, analytic())
-
 
 def _tensor_op(fn, n_tensors=1, **kw):
     """Adapt an operator taking Tensor4 first arguments to raw arrays."""
@@ -185,7 +172,7 @@ def check_op_suite(seed: int = 0):
     ]
     reports = []
     for op_name, op, inputs in cases:
-        reports += _op_case(rng, op_name, op, inputs)
+        reports += _case(rng, op_name, op, inputs)
     return reports
 
 
@@ -193,52 +180,25 @@ def check_op_suite(seed: int = 0):
 # module checks
 # ---------------------------------------------------------------------------
 
-def _randomize_params(module, rng, scale=0.5):
-    for p in module.parameters():
-        p.value[...] = scale * rng.standard_normal(p.value.shape)
-
-
-def _check_module(name, module, input_shape, rng, tol=DEFAULT_TOL):
-    """FD-check every parameter of a module plus its input."""
-    def make(r):
-        x = _draw(r, input_shape)
-        out = module.forward(Tensor4(x), training=True)
-        wgt = _draw(r, out.shape)
-
-        def loss():
-            o = module.forward(Tensor4(x), training=True)
-            return _weighted_sum(o.values, wgt)
-
-        sites = {"input": x}
-        sites.update({p.name: p.value for p in module.parameters()})
-
-        def analytic():
-            module.zero_grad()
-            o = module.forward(Tensor4(x), training=True)
-            gx = module.backward(wgt)
-            grads = {"input": gx}
-            grads.update({p.name: p.grad.copy() for p in module.parameters()})
-            return grads
-
-        return loss, sites, analytic
-
-    loss, sites, analytic = _draw_safe(make, rng)
-    return check_sites(name, loss, sites, analytic(), tol=tol)
-
-
-def check_attention(kind: str, input_shape, gate: GateKind, seed: int = 0,
-                    reduction: int = 4, kernel_size: int = 3):
+def check_attention(kind: str, input_shape, gate: GateKind, seed: int = 0):
     """Gradcheck an SE or CBAM block with random (non-identity) parameters."""
     rng = np.random.default_rng(seed)
     c = input_shape[1]
     if kind == "se":
-        module = SEBlock(c, reduction, gate, rng=rng, dtype=np.float64)
+        module = SEBlock(c, reduction=4, gate=gate, rng=rng, dtype=np.float64)
     elif kind == "cbam":
-        module = CBAMBlock(c, reduction, kernel_size, gate, rng=rng, dtype=np.float64)
+        module = CBAMBlock(c, reduction=4, kernel_size=3, gate=gate, rng=rng,
+                           dtype=np.float64)
     else:
         raise ValueError(f"unknown attention kind {kind!r}")
-    _randomize_params(module, rng)
-    return _check_module(f"{kind}[{gate.value}]", module, input_shape, rng)
+    for p in module.parameters():
+        p.value[...] = 0.5 * rng.standard_normal(p.value.shape)
+
+    def block(x):
+        return module.forward(Tensor4(x), training=True), lambda g: (module.backward(g),)
+
+    return _case(rng, f"{kind}[{gate.value}]", block, {"input": input_shape},
+                 module.parameters())
 
 
 def check_backbone(input_shape=(1, 3, 8, 8), seed: int = 0):
@@ -253,26 +213,18 @@ def check_backbone(input_shape=(1, 3, 8, 8), seed: int = 0):
     for p in bb.parameters():
         p.value[...] = p.value + 0.05 * rng.standard_normal(p.value.shape)
 
-    class Wrapper(Module):
-        """The backbone with its stage outputs flattened into one tensor."""
+    def stages(x):
+        """The stage outputs flattened into one output."""
+        outs = bb.forward(Tensor4(x), training=True)
+        flat = np.concatenate([o.values.reshape(-1) for o in outs])
 
-        def __init__(self):
-            self.bb = bb
+        def backward(g):
+            parts = np.split(g.reshape(-1), np.cumsum([o.values.size for o in outs[:-1]]))
+            return (bb.backward([part.reshape(o.shape) for part, o in zip(parts, outs)]),)
 
-        def forward(self, x, training=True):
-            self._outs = bb.forward(x, training)
-            flat = np.concatenate([o.values.reshape(-1) for o in self._outs])
-            return Tensor4(flat.reshape(1, 1, 1, -1))
+        return Tensor4(flat.reshape(1, 1, 1, -1)), backward
 
-        def backward(self, g):
-            gf = g.reshape(-1)
-            grads, at = [], 0
-            for o in self._outs:
-                grads.append(gf[at:at + o.values.size].reshape(o.shape))
-                at += o.values.size
-            return bb.backward(grads)
-
-    return _check_module("backbone[2-stage]", Wrapper(), input_shape, rng)
+    return _case(rng, "backbone[2-stage]", stages, {"input": input_shape}, bb.parameters())
 
 
 def run_full_suite(seed: int = 0):

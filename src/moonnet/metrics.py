@@ -151,12 +151,15 @@ def pr_curve(preds_by_image, gts_by_image, class_id: int, iou_thresh: float):
 def average_precision(preds_by_image, gts_by_image, iou_thresh: float,
                       num_classes: int | None = None):
     """All-point interpolated AP per class and the mean over classes with
-    at least one ground truth.  Returns (mean_ap, per_class dict)."""
+    at least one ground truth.  Returns (mean_ap, per_class dict).  Without
+    ``num_classes`` only the class ids present in the ground truth are swept,
+    since no other class can enter the mean."""
     if num_classes is None:
-        num_classes = max((b.class_id + 1 for boxes in (*gts_by_image, *preds_by_image)
-                           for b in boxes), default=0)
+        class_ids = sorted({b.class_id for gts in gts_by_image for b in gts})
+    else:
+        class_ids = range(num_classes)
     per_class = {}
-    for cid in range(num_classes):
+    for cid in class_ids:
         recalls, precisions, n_gt = pr_curve(preds_by_image, gts_by_image, cid, iou_thresh)
         if n_gt == 0:
             continue  # class absent from ground truth: excluded from the mean

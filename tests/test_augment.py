@@ -256,9 +256,31 @@ class TestAnnotationIO:
     @pytest.mark.parametrize("line", ["5 2 5 4 0",            # degenerate box
                                       "1 nan 3 4 0",          # NaN coordinate
                                       "0 0 inf 5 0",          # infinite coordinate
-                                      "1 2 3 4 0 1.5"])       # score outside [0, 1]
+                                      "1 2 3 4 0 1.5",        # score outside [0, 1]
+                                      "20 20 30 30 -1"])      # negative class id
     def test_bad_box_is_annotation_error_naming_line(self, tmp_path, line):
         p = tmp_path / "bad.txt"
         p.write_text("1 2 3 4 0\n" + line + "\n")
         with pytest.raises(AnnotationError, match=r"bad\.txt:2: "):
             load_annotations(p)
+
+    def test_fuzzed_file_loads_or_raises_annotation_error(self, tmp_path):
+        """Seeded fuzz: overwrite one to three bytes of a valid file in both
+        formats, with number-like or arbitrary bytes, or truncate it."""
+        valid = (b"0 0 10 10 0\n1.5 2 8 9 3 0.25\n"
+                 b"0 0 10 0 10 10 0 10 plane 1\n20 20 30 20 30 30 20 30 ship 0\n")
+        alphabet = list(b"0123456789 -.e\n\tinfa#\xff")
+        rng = np.random.default_rng(0)
+        p = tmp_path / "a.txt"
+        for case in range(1000):
+            data = bytearray(valid)
+            if case % 3 == 0:
+                data = data[:rng.integers(len(data))]
+            else:
+                for i in rng.integers(len(data), size=rng.integers(1, 4)):
+                    data[i] = int(rng.choice(alphabet) if case % 3 == 1 else rng.integers(256))
+            p.write_bytes(bytes(data))
+            try:
+                load_annotations(p)
+            except AnnotationError:
+                pass

@@ -6,6 +6,8 @@ import zlib
 import numpy as np
 import pytest
 
+from moonnet.attention import GateKind
+from moonnet.backbone import Backbone, build_design
 from moonnet.checkpoint import (
     MAGIC,
     BadMagicError,
@@ -158,6 +160,56 @@ class TestCorruption:
         p.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
         with pytest.raises(CheckpointError, match=r"tensor 1 has a non-UTF-8 name b'\\xff\\xfe'"):
             load_checkpoint(p)
+
+    @staticmethod
+    def _one_header(tmp_path, dims):
+        """A CRC-valid file whose one tensor "t" has the given dims and no values."""
+        body = (MAGIC + struct.pack("<IH", 1, 1) + b"t"
+                + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
+        p = tmp_path / "a.ckpt"
+        p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        return p
+
+    def test_rank_above_numpy_limit_is_checkpoint_error(self, tmp_path):
+        p = self._one_header(tmp_path, [0] * 65)
+        with pytest.raises(CheckpointError, match="tensor 't'.*found 65"):
+            load_checkpoint(p)
+
+    def test_too_many_elements_is_checkpoint_error(self, tmp_path):
+        p = self._one_header(tmp_path, [0] + [2**32 - 1] * 3)
+        with pytest.raises(CheckpointError, match="tensor 't'.*array is too big"):
+            load_checkpoint(p)
+
+    def test_fuzzed_header_or_truncation_loads_or_raises_checkpoint_error(self, tmp_path):
+        """Seeded fuzz over a small saved model: flip one or two header bytes
+        (the count, or a record's name length, name, rank or dims), or
+        truncate the file.  The CRC is recomputed after each mutation, so
+        every case reaches the parser."""
+        design = build_design(5, gate=GateKind.RESIDUAL_TANH, ladder=(16, 32, 64, 128, 256),
+                              width_multiplier=0.25, reduction=4, spatial_kernel=3)
+        design.stages = design.stages[:2]
+        tensors = Backbone(design, seed=0).named_tensors()
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(tensors, p)
+        body = p.read_bytes()[:-4]
+        header, off = list(range(len(MAGIC), len(MAGIC) + 4)), len(MAGIC) + 4
+        for name, arr in tensors:
+            n = 3 + len(name.encode()) + 4 * arr.ndim
+            header += range(off, off + n)
+            off += n + 4 * arr.size
+        rng = np.random.default_rng(0)
+        for case in range(3000):
+            data = bytearray(body)
+            if case % 2:
+                data = data[:rng.integers(len(data))]
+            else:
+                for i in rng.choice(header, size=rng.integers(1, 3)):
+                    data[i] ^= int(rng.integers(1, 256))
+            p.write_bytes(bytes(data) + struct.pack("<I", zlib.crc32(data)))
+            try:
+                load_checkpoint(p)
+            except CheckpointError:
+                pass
 
     def test_errors_share_base_class(self):
         for exc in (BadMagicError, CrcMismatchError, TruncatedError):

@@ -88,6 +88,62 @@ class TestFormatReports:
         assert "0 failures" in lines[-1]
 
 
+# Every (op, sites) group of run_full_suite(0), in order: 106 sites.
+SUITE_SITES = [
+    ("global_avg_pool", "x0"),
+    ("channel_reduce_avg", "x0"),
+    ("sigmoid", "x0"),
+    ("tanh_act", "x0"),
+    ("silu", "x0"),
+    ("add", "x0 x1"),
+    ("relu", "x"),
+    ("global_max_pool", "x"),
+    ("channel_reduce_max", "x"),
+    ("global_avg_pool", "x0"),
+    ("channel_reduce_avg", "x0"),
+    ("sigmoid", "x0"),
+    ("tanh_act", "x0"),
+    ("silu", "x0"),
+    ("add", "x0 x1"),
+    ("relu", "x"),
+    ("global_max_pool", "x"),
+    ("global_avg_pool", "x0"),
+    ("channel_reduce_avg", "x0"),
+    ("sigmoid", "x0"),
+    ("tanh_act", "x0"),
+    ("silu", "x0"),
+    ("add", "x0 x1"),
+    ("relu", "x"),
+    ("global_max_pool", "x"),
+    ("channel_reduce_max", "x"),
+    ("fc", "x W b"),
+    ("conv2d(k=3,s=1,p=1)", "x kernel b"),
+    ("conv2d(k=3,s=2,p=1)", "x kernel b"),
+    ("conv2d(k=1,s=1,p=0)", "x kernel b"),
+    ("conv2d(k=3,s=2,p=1,b=None)", "x kernel"),
+    ("broadcast_mul(2, 3, 1, 1)", "x gate"),
+    ("broadcast_mul(2, 1, 4, 4)", "x gate"),
+    ("concat_channels", "a b"),
+    ("split_channels", "x"),
+    ("batchnorm", "x gamma beta"),
+    ("se[residual-tanh]", "input se/w1 se/b1 se/w2 se/b2"),
+    ("cbam[residual-tanh]",
+     "input cbam/w1 cbam/b1 cbam/w2 cbam/b2 cbam/spatial_kernel cbam/spatial_bias"),
+    ("se[sigmoid]", "input se/w1 se/b1 se/w2 se/b2"),
+    ("cbam[sigmoid]",
+     "input cbam/w1 cbam/b1 cbam/w2 cbam/b2 cbam/spatial_kernel cbam/spatial_bias"),
+    ("backbone[2-stage]",
+     "input stage0/conv/weight stage0/conv/bn_gamma stage0/conv/bn_beta stage0/att/w1 "
+     "stage0/att/b1 stage0/att/w2 stage0/att/b2 stage1/conv/weight "
+     "stage1/conv/bn_gamma stage1/conv/bn_beta stage1/att/w1 stage1/att/b1 "
+     "stage1/att/w2 stage1/att/b2 stage1/att/spatial_kernel stage1/att/spatial_bias "
+     "stage1/c2f/cv1/weight stage1/c2f/cv1/bn_gamma stage1/c2f/cv1/bn_beta "
+     "stage1/c2f/b0/cv1/weight stage1/c2f/b0/cv1/bn_gamma stage1/c2f/b0/cv1/bn_beta "
+     "stage1/c2f/b0/cv2/weight stage1/c2f/b0/cv2/bn_gamma stage1/c2f/b0/cv2/bn_beta "
+     "stage1/c2f/cv2/weight stage1/c2f/cv2/bn_gamma stage1/c2f/cv2/bn_beta"),
+]
+
+
 class TestFullSuite:
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(40))
@@ -95,6 +151,12 @@ class TestFullSuite:
         reports = gc.run_full_suite(seed)
         failures = [r for r in reports if not r.passed]
         assert not failures, "\n" + gc.format_reports(failures)
+
+    def test_site_list_pinned(self):
+        reports = gc.run_full_suite(0)
+        expected = [(op, site) for op, sites in SUITE_SITES for site in sites.split()]
+        assert len(expected) == 106
+        assert [(r.op_name, r.param_site) for r in reports] == expected
 
 
 def _scaled_backward(op, positions, factor):

@@ -244,6 +244,19 @@ class TestAPProperties:
         assert set(per_class) == {0}
         assert mean == 1.0  # class-2 false alarms cannot dilute an absent class
 
+    def test_without_num_classes_only_gt_class_ids_are_swept(self, monkeypatch):
+        """A ground-truth class id of 1000 costs one sweep, not a thousand."""
+        calls = []
+        match = metrics.match_detections
+        monkeypatch.setattr(metrics, "match_detections",
+                            lambda *a: calls.append(a) or match(*a))
+        gts = [[BBox(0, 0, 10, 10, 0), BBox(20, 20, 30, 30, 1000)], [BBox(5, 5, 9, 9, 0)]]
+        preds = [[BBox(0, 0, 10, 10, 0, score=0.9)], [BBox(5, 5, 9, 9, 7, score=0.5)]]
+        res = evaluate(preds, gts)
+        gt_classes, images = 2, 2
+        assert len(calls) == 12 * gt_classes * images + images
+        assert res == evaluate(preds, gts, num_classes=1001)
+
     def test_perfect_detector_all_ones(self):
         gts = [[BBox(0, 0, 10, 10, 0), BBox(20, 20, 25, 28, 1)]]
         preds = [[BBox(0, 0, 10, 10, 0, score=0.9), BBox(20, 20, 25, 28, 1, score=0.8)]]

@@ -17,7 +17,7 @@ from moonnet.augment import AugmentPackage
 from moonnet.checkpoint import (CheckpointError, bytes_to_tensor, load_checkpoint,
                                 save_checkpoint)
 from moonnet.cli import main as cli_main
-from moonnet.config import ConfigError, ExperimentConfig, parse_config_text
+from moonnet.config import ConfigError, ExperimentConfig, load_config_file, parse_config_text
 from moonnet.metrics import evaluate
 from moonnet.tensor import clipped_sigmoid
 from moonnet.train import (
@@ -426,6 +426,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("lr=fast\n")
 
+    def test_fuzzed_file_loads_or_raises_config_error(self, tmp_path):
+        """Seeded fuzz: overwrite one to three bytes of a saved config, with
+        number-like or arbitrary bytes, or truncate it."""
+        valid = tiny_cfg().to_text().encode()
+        alphabet = list(b"0123456789 -.e=\n#infa\xff")
+        rng = np.random.default_rng(0)
+        p = tmp_path / "c.cfg"
+        for case in range(1000):
+            data = bytearray(valid)
+            if case % 3 == 0:
+                data = data[:rng.integers(len(data))]
+            else:
+                for i in rng.integers(len(data), size=rng.integers(1, 4)):
+                    data[i] = int(rng.choice(alphabet) if case % 3 == 1 else rng.integers(256))
+            p.write_bytes(bytes(data))
+            try:
+                load_config_file(p).validate()
+            except ConfigError:
+                pass
+
     @pytest.mark.parametrize("kw", [dict(input_size=50), dict(lr=-1.0),
                                     dict(design_id=9), dict(width=0.0),
                                     dict(momentum=1.0), dict(batch=0),
@@ -576,6 +596,18 @@ class TestCli:
         rc = cli_main(["evaluate", "--gt", str(gt), "--preds", str(pr), "--out", str(out)])
         assert rc == 0
         assert "recall=0.500000" in out.read_text().splitlines()
+
+    def test_evaluate_negative_class_id_exit_one(self, tmp_path, capsys):
+        gt, pr = tmp_path / "gt", tmp_path / "pr"
+        gt.mkdir(), pr.mkdir()
+        (gt / "i.txt").write_text("0 0 10 10 0\n20 20 30 30 -1\n")
+        (pr / "i.txt").write_text("0 0 10 10 0 0.9\n")
+        rc = cli_main(["evaluate", "--gt", str(gt), "--preds", str(pr)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "i.txt:2: class id must be non-negative, got -1" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_augment_preview(self, capsys):
         rc = cli_main(["augment-preview", "--package", "ver2", "--seed", "1"])
