@@ -105,6 +105,9 @@ def cmd_evaluate(args) -> int:
     pred_by_name = {f.name: p for f, p in zip(pred_files, preds)}
     preds_aligned = [pred_by_name.get(f.name, []) for f in gt_files]
     result = evaluate(preds_aligned, gts)
+    if result.evaluated_classes == 0:
+        raise AnnotationError(f"--gt {args.gt}: no ground-truth box to score "
+                              f"(no boxes, or every box is difficult)")
     print(f"{'metric':>10s} {'value':>8s}")
     for key, val in result.as_dict().items():
         print(f"{key:>10s} {val:8.4f}")

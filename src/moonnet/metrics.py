@@ -42,12 +42,12 @@ def iou(a: BBox | list[BBox], b: BBox | list[BBox]) -> float | np.ndarray:
     (len(a), len(b)) float64 matrix for two box lists, from the same IEEE
     operations either way; exactly 0 where the boxes do not overlap."""
     pair = isinstance(a, BBox)
-    ax1, ay1, ax2, ay2 = _corners([a] if pair else a)[:, :, None]
-    bx1, by1, bx2, by2 = _corners([b] if pair else b)[:, None, :]
-    ix = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
-    iy = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
+    ca = _corners([a] if pair else a)[:, :, None]
+    cb = _corners([b] if pair else b)[:, None, :]
+    ix, iy = np.maximum(0.0, np.minimum(ca[2:], cb[2:]) - np.maximum(ca[:2], cb[:2]))
     inter = ix * iy
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    (aw, ah), (bw, bh) = ca[2:] - ca[:2], cb[2:] - cb[:2]
+    union = aw * ah + bw * bh - inter
     out = np.divide(inter, union, out=np.zeros_like(inter), where=inter != 0.0)
     return float(out[0, 0]) if pair else out
 
@@ -71,8 +71,9 @@ def match_detections(preds: list[BBox], gts: list[BBox], iou_thresh: float) -> M
     input order) each claim the highest-IoU unmatched same-class GT with
     IoU >= threshold.  A match to a difficult GT counts as neither TP nor FP.
     """
-    order = sorted(range(len(preds)),
-                   key=lambda i: (-(preds[i].score if preds[i].score is not None else 1.0), i))
+    # a stable sort: reverse=True keeps tied scores in input order
+    order = sorted(range(len(preds)), reverse=True,
+                   key=[1.0 if p.score is None else p.score for p in preds].__getitem__)
     ious = iou(preds, gts)
     same_class = (np.array([p.class_id for p in preds])[:, None]
                   == np.array([g.class_id for g in gts])[None, :])
@@ -113,70 +114,69 @@ def precision_recall(preds_by_image, gts_by_image, iou_thresh: float):
     return precision, recall
 
 
-def pr_curve(preds_by_image, gts_by_image, class_id: int, iou_thresh: float):
-    """(recall, precision-envelope) points for one class, plus n_gt.
+def _sweep(preds_by_image, gts_by_image, class_ids, thresholds):
+    """{threshold: {class_id: (recall, precision envelope, n_gt)}}.  Per class,
+    the image split, each image's score order and the (score desc, image, rank)
+    merge of all images run once; per threshold only matching runs, and its
+    flags, in each image's score order, go to the merged order."""
+    curves = {t: {} for t in thresholds}
+    for cid in class_ids:
+        split = [([p for p in preds if p.class_id == cid], [g for g in gts if g.class_id == cid])
+                 for preds, gts in zip(preds_by_image, gts_by_image)]
+        # each image's scores in match order, concatenated: the stable sort
+        # breaks score ties by image, then by rank within the image
+        ranked = np.array([s for ps, _ in split for s in sorted(
+            (1.0 if p.score is None else p.score for p in ps), reverse=True)], dtype=np.float64)
+        merged = np.argsort(-ranked, kind="stable")
+        for t in thresholds:
+            matches = [match_detections(ps, gs, t) for ps, gs in split]
+            n_gt = sum(m.n_gt for m in matches)
+            tp = np.array([v for m in matches for v in m.tp], dtype=bool)[merged]
+            ignored = np.array([v for m in matches for v in m.ignored], dtype=bool)[merged]
+            ctp = np.cumsum(tp[~ignored])
+            recall = ctp / n_gt if n_gt else np.zeros(len(ctp))
+            precision = ctp / np.arange(1, len(ctp) + 1)
+            curves[t][cid] = (recall, np.maximum.accumulate(precision[::-1])[::-1], n_gt)
+    return curves
 
-    Predictions are pooled across images and swept in descending score order;
-    the returned precision is the running maximum from the right.
-    """
-    scored = []  # (score, image_index, tp, ignored)
-    n_gt = 0
-    for img_i, (preds, gts) in enumerate(zip(preds_by_image, gts_by_image)):
-        cls_preds = [p for p in preds if p.class_id == class_id]
-        cls_gts = [g for g in gts if g.class_id == class_id]
-        m = match_detections(cls_preds, cls_gts, iou_thresh)
-        n_gt += m.n_gt
-        for rank, pi in enumerate(m.order):
-            s = cls_preds[pi].score if cls_preds[pi].score is not None else 1.0
-            scored.append((s, img_i, rank, m.tp[rank], m.ignored[rank]))
-    # global descending score, stable w.r.t. (image, within-image rank)
-    scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-    recalls, precisions = [], []
-    tp = fp = 0
-    for s, _, _, is_tp, is_ign in scored:
-        if is_ign:
-            continue
-        if is_tp:
-            tp += 1
-        else:
-            fp += 1
-        recalls.append(tp / n_gt if n_gt else 0.0)
-        precisions.append(tp / (tp + fp))
-    # monotone envelope from the right
-    for i in range(len(precisions) - 2, -1, -1):
-        precisions[i] = max(precisions[i], precisions[i + 1])
-    return recalls, precisions, n_gt
+
+def pr_curve(preds_by_image, gts_by_image, class_id: int, iou_thresh: float):
+    """(recall, precision-envelope) points for one class, plus n_gt: the
+    predictions of all images swept in descending score order, the precision
+    the running maximum from the right."""
+    [curves] = _sweep(preds_by_image, gts_by_image, [class_id], [iou_thresh]).values()
+    recall, precision, n_gt = curves[class_id]
+    return recall.tolist(), precision.tolist(), n_gt
+
+
+def _mean_aps(preds_by_image, gts_by_image, thresholds, num_classes):
+    """[(mean AP, per-class AP)] per threshold.  Without ``num_classes`` only
+    the class ids present in the ground truth are swept, since no other class
+    can enter the mean."""
+    class_ids = (range(num_classes) if num_classes is not None
+                 else sorted({b.class_id for gts in gts_by_image for b in gts}))
+    out = []
+    for curves in _sweep(preds_by_image, gts_by_image, class_ids, thresholds).values():
+        per_class = {}
+        for cid, (recall, precision, n_gt) in curves.items():
+            if n_gt:  # a class absent from ground truth is excluded from the mean
+                # cumsum adds left to right: the bits of a loop summing from 0.0
+                terms = np.diff(recall, prepend=0.0) * precision
+                per_class[cid] = float(np.cumsum(np.append(0.0, terms))[-1])
+        out.append((sum(per_class.values()) / len(per_class) if per_class else 0.0, per_class))
+    return out
 
 
 def average_precision(preds_by_image, gts_by_image, iou_thresh: float,
                       num_classes: int | None = None):
     """All-point interpolated AP per class and the mean over classes with
-    at least one ground truth.  Returns (mean_ap, per_class dict).  Without
-    ``num_classes`` only the class ids present in the ground truth are swept,
-    since no other class can enter the mean."""
-    if num_classes is None:
-        class_ids = sorted({b.class_id for gts in gts_by_image for b in gts})
-    else:
-        class_ids = range(num_classes)
-    per_class = {}
-    for cid in class_ids:
-        recalls, precisions, n_gt = pr_curve(preds_by_image, gts_by_image, cid, iou_thresh)
-        if n_gt == 0:
-            continue  # class absent from ground truth: excluded from the mean
-        ap = 0.0
-        prev_r = 0.0
-        for r, p in zip(recalls, precisions):
-            ap += (r - prev_r) * p
-            prev_r = r
-        per_class[cid] = ap
-    mean = sum(per_class.values()) / len(per_class) if per_class else 0.0
-    return mean, per_class
+    at least one ground truth.  Returns (mean_ap, per_class dict)."""
+    return _mean_aps(preds_by_image, gts_by_image, [iou_thresh], num_classes)[0]
 
 
 def coco_ap(preds_by_image, gts_by_image, num_classes: int | None = None) -> float:
     """Mean AP over IoU thresholds 0.50:0.05:0.95."""
-    vals = [average_precision(preds_by_image, gts_by_image, t, num_classes)[0]
-            for t in COCO_THRESHOLDS]
+    vals = [m for m, _ in _mean_aps(preds_by_image, gts_by_image, COCO_THRESHOLDS, num_classes)]
     return sum(vals) / len(vals)
 
 

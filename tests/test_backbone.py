@@ -14,7 +14,9 @@ from moonnet.backbone import (
     build_design,
     per_branch_attention,
 )
+from moonnet.config import ExperimentConfig
 from moonnet.tensor import ShapeError, Tensor4
+from moonnet.train import PatchModel, SyntheticPatchTask, bce_with_logits
 
 
 def random_input(shape, seed=0):
@@ -116,6 +118,43 @@ class TestBackboneBackward:
         gx = bb.backward(grads)
         assert gx.shape == x.shape
         assert np.isfinite(gx).all()
+
+
+class TestInitOracles:
+    """Exact statements about a freshly built model: with the residual gate
+    the attention blocks vanish from forward and backward; with the sigmoid
+    gate an SE stage scales its conv block's output by exactly 0.5."""
+
+    @staticmethod
+    def _step(design_id, seed, size):
+        cfg = ExperimentConfig(design_id=design_id, width=0.125, input_size=size, seed=seed,
+                               batch=2).validate()
+        model = PatchModel(cfg)
+        x, labels, _ = SyntheticPatchTask(size).batch([10 * seed, 10 * seed + 1])
+        logits = model.forward(x)
+        model.backward(bce_with_logits(logits, labels)[1])
+        return logits, {p.name: p.grad for p in model.parameters()}
+
+    @pytest.mark.parametrize("size", [64, 128])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_residual_gate_designs_train_like_design0_at_init(self, seed, size):
+        logits0, grads0 = self._step(0, seed, size)
+        for design_id in (4, 5, 6):
+            logits, grads = self._step(design_id, seed, size)
+            assert np.array_equal(logits, logits0)
+            # the conv, C2f and head parameters; attention adds the rest
+            shared = grads0.keys() & grads.keys()
+            assert len(shared) == len(grads0) == 65
+            for name in shared:
+                assert np.array_equal(grads[name], grads0[name]), name
+
+    @pytest.mark.parametrize("size", [64, 128])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_sigmoid_gate_halves_design5_stage0(self, seed, size):
+        x = random_input((2, 3, size, size), seed=seed)
+        plain, gated = (Backbone(build_design(d, 0.125, GateKind.SIGMOID_ORIGINAL),
+                                 seed=seed).forward(x)[0].values for d in (0, 5))
+        assert np.array_equal(gated, 0.5 * plain)
 
 
 class TestPerBranchAttention:

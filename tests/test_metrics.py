@@ -1,6 +1,7 @@
 """Detection metric tests against hand-worked fixtures and an independent
 brute-force AP reference."""
 
+import hashlib
 import itertools
 from dataclasses import astuple, replace
 
@@ -204,6 +205,21 @@ class TestAPAgainstBruteForce:
                         assert per_class[cid] == pytest.approx(ref, abs=1e-12)
                         checked += 1
         assert checked > 50
+
+    def test_tied_scores_across_images_exact(self):
+        # tied and missing scores: the merge must order ties by image, then rank
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(60):
+            images = [tricky_image(rng) for _ in range(int(rng.integers(2, 5)))]
+            preds, gts = [p for p, _ in images], [g for _, g in images]
+            for thresh in (0.5, 0.75):
+                _, per_class = average_precision(preds, gts, thresh, num_classes=3)
+                for cid in range(3):
+                    ref = brute_force_ap(preds, gts, cid, thresh)
+                    assert per_class.get(cid) == ref
+                    checked += ref is not None
+        assert checked > 100
 
     def test_textbook_curve(self):
         # one class, one image: TP FP TP in score order over 2 GTs
@@ -486,6 +502,47 @@ class TestEvaluatePinned:
             "0x1.f6dccb5e29e60p-3", "0x1.0c590f3cd9b6dp-5", "0x1.7b993b2033953p-4",
             "0x1.d986a8b1927f4p-2", "0x1.8dab7ec1dd343p-2"]
         assert res.evaluated_classes == 3
+
+    # ap50, ap75, ap, recall, precision of the per-threshold evaluator that the
+    # per-class sweep replaced; every class is in the ground truth, so the
+    # results without num_classes are the same
+    SEED_PINS = {
+        0: ["0x1.09c34a2eafd2cp-2", "0x1.1a3b409f9529bp-5", "0x1.7992e86bd7afap-4",
+            "0x1.02fa0be82fa0cp-1", "0x1.ae6076b981daep-2"],
+        1: ["0x1.f9a3db53c10c1p-3", "0x1.280243abe93acp-5", "0x1.6e61505cce7ffp-4",
+            "0x1.deacafb74a399p-2", "0x1.8a9d58a9d58aap-2"],
+        2: ["0x1.174d65135dc15p-2", "0x1.c6884913c3cd8p-5", "0x1.ba689390b03bbp-4",
+            "0x1.0000000000000p-1", "0x1.b13b13b13b13bp-2"],
+    }
+
+    @pytest.mark.parametrize("num_classes", [3, None])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_crowded_scene_seeds_pinned(self, seed, num_classes):
+        res = evaluate(*crowded_scene(seed), num_classes=num_classes)
+        assert [v.hex() for v in (res.ap50, res.ap75, res.ap, res.recall, res.precision)] \
+            == self.SEED_PINS[seed]
+        assert res.evaluated_classes == 3
+
+    def test_per_class_ap_pinned(self):
+        preds, gts = crowded_scene(3)
+        pins = {0.5: ["0x1.965e5233e82b0p-3", "0x1.c29a900f675cfp-3", "0x1.45cebfeb9714fp-2"],
+                0.75: ["0x1.47ca61b3947cap-6", "0x1.ee9c7f8458e02p-6", "0x1.89d7bd1a96762p-5"]}
+        for t, expect in pins.items():
+            _, per_class = average_precision(preds, gts, t, num_classes=3)
+            assert {c: v.hex() for c, v in per_class.items()} == dict(enumerate(expect))
+
+    def test_pr_curve_pinned(self):
+        preds, gts = crowded_scene(3)
+        # (class, threshold): n_gt, points, sha-256 prefix of the points' hex
+        pins = {(0, 0.5): (65, 81, "f0cf7063e0cdee19"), (0, 0.95): (65, 83, "a1ddeebba9a42e5f"),
+                (1, 0.5): (40, 53, "bfd35c5f49d18219"), (1, 0.95): (40, 54, "cd3e9aca90cac1d1"),
+                (2, 0.5): (68, 72, "63553c4f9042760f"), (2, 0.95): (68, 73, "b0ed78b73cc0d8f7")}
+        for (cid, t), (n_gt, points, digest) in pins.items():
+            recalls, precisions, n = pr_curve(preds, gts, cid, t)
+            assert all(type(v) is float for v in recalls + precisions)
+            text = " ".join(v.hex() for v in recalls + precisions).encode()
+            assert (n, len(recalls), len(precisions)) == (n_gt, points, points)
+            assert hashlib.sha256(text).hexdigest()[:16] == digest
 
 
 class TestMeanBoxArea:

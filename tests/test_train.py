@@ -624,27 +624,35 @@ class TestCli:
         ["train", "--lr", "nan"],
         ["train", "--lr", "inf"],
         ["evaluate", "--gt", "{ann}", "--preds", "{orphan_dir}"],
+        ["evaluate", "--gt", "{empty_dir}", "--preds", "{ann}"],
+        ["evaluate", "--gt", "{difficult_dir}", "--preds", "{ann}"],
     ], ids=["config-is-dir", "config-not-utf8", "stats-not-utf8", "evaluate-not-utf8",
             "train-out-is-file", "evaluate-out-is-dir", "lr-nan", "lr-inf",
-            "evaluate-orphan-pred"])
+            "evaluate-orphan-pred", "evaluate-gt-no-box", "evaluate-gt-all-difficult"])
     def test_file_and_value_errors_exit_one(self, tmp_path, capsys, argv):
         paths = {"dir": tmp_path, "latin1": tmp_path / "l1.txt",
                  "latin1_dir": tmp_path / "l1", "ann": tmp_path / "ann",
-                 "orphan_dir": tmp_path / "orphan"}
+                 "orphan_dir": tmp_path / "orphan", "empty_dir": tmp_path / "empty",
+                 "difficult_dir": tmp_path / "difficult"}
         # a comment line, valid as a config and as annotations once decoded
         paths["latin1"].write_bytes("# caf\xe9\n".encode("latin-1"))
-        for d in ("latin1_dir", "ann", "orphan_dir"):
+        for d in ("latin1_dir", "ann", "orphan_dir", "empty_dir", "difficult_dir"):
             paths[d].mkdir()
         (paths["latin1_dir"] / "a.txt").write_bytes(paths["latin1"].read_bytes())
         (paths["ann"] / "a.txt").write_text("0 0 10 10 0\n")
         # a prediction file whose name matches no ground-truth file
         (paths["orphan_dir"] / "A.txt").write_text("0 0 10 10 0 0.9\n")
+        # ground truth with nothing to score: no box at all, or only difficult ones
+        (paths["empty_dir"] / "a.txt").write_text("")
+        (paths["difficult_dir"] / "a.txt").write_text("0 0 10 0 10 10 0 10 plane 1\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli_main([a.format(**paths) for a in argv])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if {"{empty_dir}", "{difficult_dir}"} & set(argv):
+            assert err.startswith(f"error: --gt {argv[2].format(**paths)}: ")
 
     def test_python_dash_m_moonnet(self):
         src = str(Path(moonnet.__file__).resolve().parents[1])
