@@ -66,18 +66,25 @@ class MatchResult:
     n_gt: int  # non-difficult ground truths
 
 
-def match_detections(preds: list[BBox], gts: list[BBox], iou_thresh: float) -> MatchResult:
+def match_detections(preds: list[BBox], gts: list[BBox], iou_thresh: float,
+                     ious: np.ndarray | None = None) -> MatchResult:
     """Greedy matching: predictions in descending score order (ties broken by
     input order) each claim the highest-IoU unmatched same-class GT with
     IoU >= threshold.  A match to a difficult GT counts as neither TP nor FP.
+    ``ious`` is the class-masked (len(preds), len(gts)) IoU matrix (exactly 0
+    for pairs of different classes), built here when not given, so that the
+    thresholds of a sweep can share one.
     """
     # a stable sort: reverse=True keeps tied scores in input order
     order = sorted(range(len(preds)), reverse=True,
                    key=[1.0 if p.score is None else p.score for p in preds].__getitem__)
-    ious = iou(preds, gts)
-    same_class = (np.array([p.class_id for p in preds])[:, None]
-                  == np.array([g.class_id for g in gts])[None, :])
-    hit = same_class & (ious >= iou_thresh) & (ious > 0.0)
+    if ious is None:
+        same_class = (np.array([p.class_id for p in preds])[:, None]
+                      == np.array([g.class_id for g in gts])[None, :])
+        ious = np.where(same_class, iou(preds, gts), 0.0)
+    elif ious.shape != (len(preds), len(gts)):
+        raise ValueError(f"ious has shape {ious.shape}, expected {(len(preds), len(gts))}")
+    hit = (ious >= iou_thresh) & (ious > 0.0)
     rows, cols = np.nonzero(hit)
     # each prediction's candidate (GT index, IoU) pairs, in GT-index order
     candidates = [[] for _ in preds]
@@ -116,9 +123,10 @@ def precision_recall(preds_by_image, gts_by_image, iou_thresh: float):
 
 def _sweep(preds_by_image, gts_by_image, class_ids, thresholds):
     """{threshold: {class_id: (recall, precision envelope, n_gt)}}.  Per class,
-    the image split, each image's score order and the (score desc, image, rank)
-    merge of all images run once; per threshold only matching runs, and its
-    flags, in each image's score order, go to the merged order."""
+    the image split, each image's score order and IoU matrix, and the (score
+    desc, image, rank) merge of all images run once; per threshold only
+    matching runs, and its flags, in each image's score order, go to the
+    merged order."""
     curves = {t: {} for t in thresholds}
     for cid in class_ids:
         split = [([p for p in preds if p.class_id == cid], [g for g in gts if g.class_id == cid])
@@ -128,8 +136,10 @@ def _sweep(preds_by_image, gts_by_image, class_ids, thresholds):
         ranked = np.array([s for ps, _ in split for s in sorted(
             (1.0 if p.score is None else p.score for p in ps), reverse=True)], dtype=np.float64)
         merged = np.argsort(-ranked, kind="stable")
+        # single-class lists, so the plain IoU matrix is already class-masked
+        ious = [iou(ps, gs) for ps, gs in split]
         for t in thresholds:
-            matches = [match_detections(ps, gs, t) for ps, gs in split]
+            matches = [match_detections(ps, gs, t, m) for (ps, gs), m in zip(split, ious)]
             n_gt = sum(m.n_gt for m in matches)
             tp = np.array([v for m in matches for v in m.tp], dtype=bool)[merged]
             ignored = np.array([v for m in matches for v in m.ignored], dtype=bool)[merged]
@@ -152,9 +162,18 @@ def pr_curve(preds_by_image, gts_by_image, class_id: int, iou_thresh: float):
 def _mean_aps(preds_by_image, gts_by_image, thresholds, num_classes):
     """[(mean AP, per-class AP)] per threshold.  Without ``num_classes`` only
     the class ids present in the ground truth are swept, since no other class
-    can enter the mean."""
-    class_ids = (range(num_classes) if num_classes is not None
-                 else sorted({b.class_id for gts in gts_by_image for b in gts}))
+    can enter the mean.  With it, every box's class id must be in
+    range(num_classes): a box outside would be dropped from AP silently."""
+    if num_classes is None:
+        class_ids = sorted({b.class_id for gts in gts_by_image for b in gts})
+    else:
+        if num_classes < 1:
+            raise ValueError(f"num_classes must be at least 1, got {num_classes}")
+        outside = sorted({b.class_id for boxes in (*preds_by_image, *gts_by_image)
+                          for b in boxes if not 0 <= b.class_id < num_classes})
+        if outside:
+            raise ValueError(f"class id {outside[0]} is outside range(num_classes={num_classes})")
+        class_ids = range(num_classes)
     out = []
     for curves in _sweep(preds_by_image, gts_by_image, class_ids, thresholds).values():
         per_class = {}

@@ -3,6 +3,7 @@ brute-force AP reference."""
 
 import hashlib
 import itertools
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -273,6 +274,30 @@ class TestAPProperties:
         assert len(calls) == 12 * gt_classes * images + images
         assert res == evaluate(preds, gts, num_classes=1001)
 
+    @pytest.mark.parametrize("num_classes", [0, -1])
+    def test_num_classes_below_one_raises(self, num_classes):
+        gts = [[BBox(0, 0, 10, 10, 0)]]
+        preds = [[BBox(0, 0, 10, 10, 0, score=0.9)]]
+        for call in (lambda: evaluate(preds, gts, num_classes),
+                     lambda: average_precision(preds, gts, 0.5, num_classes),
+                     lambda: coco_ap(preds, gts, num_classes)):
+            with pytest.raises(ValueError, match=rf"num_classes must be at least 1, got {num_classes}"):
+                call()
+
+    @pytest.mark.parametrize("side", ["gt", "pred"])
+    def test_class_id_outside_num_classes_raises(self, side):
+        """GT classes {0, 3} with num_classes=1 once scored ap50=1.0 with
+        recall 0.5: AP dropped class 3 while precision_recall counted it."""
+        gts = [[BBox(0, 0, 10, 10, 0)], [BBox(20, 20, 30, 30, 3 if side == "gt" else 0)]]
+        preds = [[BBox(0, 0, 10, 10, 0, score=0.9)],
+                 [BBox(20, 20, 30, 30, 3 if side == "pred" else 0, score=0.8)]]
+        for call in (lambda: evaluate(preds, gts, num_classes=1),
+                     lambda: average_precision(preds, gts, 0.5, num_classes=1),
+                     lambda: coco_ap(preds, gts, num_classes=1)):
+            with pytest.raises(ValueError, match=r"class id 3 .*num_classes=1\)"):
+                call()
+        assert evaluate(preds, gts, num_classes=4).evaluated_classes == 1 + (side == "gt")
+
     def test_perfect_detector_all_ones(self):
         gts = [[BBox(0, 0, 10, 10, 0), BBox(20, 20, 25, 28, 1)]]
         preds = [[BBox(0, 0, 10, 10, 0, score=0.9), BBox(20, 20, 25, 28, 1, score=0.8)]]
@@ -310,9 +335,10 @@ def scalar_iou(a, b):
     return inter / (a.area + b.area - inter)
 
 
-def scalar_match(preds, gts, iou_thresh):
+def scalar_match(preds, gts, iou_thresh, ious=None):
     """Greedy matching as one scalar IoU per (prediction, GT) pair: the
-    O(P*G) loop that match_detections replaced, kept as its oracle."""
+    O(P*G) loop that match_detections replaced, kept as its oracle.  It
+    ignores a shared ``ious`` matrix and computes every IoU itself."""
     order = sorted(range(len(preds)),
                    key=lambda i: (-(preds[i].score if preds[i].score is not None else 1.0), i))
     taken = [False] * len(gts)
@@ -448,6 +474,37 @@ class TestMatchingEquivalence:
                 ious = [scalar_iou(p, g) for g in gts if g.class_id == p.class_id]
                 seen["tie"] += len(ious) > 1 and max(ious) > 0 and ious.count(max(ious)) > 1
         assert all(v > 0 for v in seen.values()), seen
+
+    def test_masked_matrix_gives_the_same_match(self):
+        """A class-masked IoU matrix passed in, built here from the scalar
+        form, matches exactly as the matrix match_detections builds itself."""
+        rng = np.random.default_rng(2024)
+        for _ in range(250):
+            preds, gts = tricky_image(rng)
+            masked = np.array([[scalar_iou(p, g) if p.class_id == g.class_id else 0.0
+                                for g in gts] for p in preds]).reshape(len(preds), len(gts))
+            for t in self.THRESHOLDS:
+                assert astuple(match_detections(preds, gts, t, masked)) \
+                    == astuple(match_detections(preds, gts, t))
+
+    def test_wrong_shape_matrix_raises(self):
+        preds = [BBox(0, 0, 4, 4, 0, score=0.9), BBox(1, 1, 5, 5, 0, score=0.5)]
+        gts = [BBox(0, 0, 4, 4, 0)]
+        for bad in (np.ones((1, 2)), np.ones((2,)), np.ones((2, 1, 1))):
+            with pytest.raises(ValueError, match=rf"{re.escape(str(bad.shape))}.*\(2, 1\)"):
+                match_detections(preds, gts, 0.5, bad)
+
+    def test_one_iou_matrix_per_class_and_image_per_sweep(self, monkeypatch):
+        """AP50, AP75 and the COCO sweep each build one IoU matrix per class
+        and image, shared by their thresholds; the pooled P/R pass one per
+        image."""
+        calls = []
+        matrix = metrics.iou
+        monkeypatch.setattr(metrics, "iou", lambda *a: calls.append(a) or matrix(*a))
+        preds, gts = crowded_scene(0, n_images=4)
+        classes, images = 3, 4
+        evaluate(preds, gts, num_classes=classes)
+        assert len(calls) == 3 * classes * images + images
 
     def test_evaluate_equals_scalar_matching(self, monkeypatch):
         rng = np.random.default_rng(7)
