@@ -18,6 +18,8 @@ __all__ = [
     "iou",
     "match_detections",
     "MatchResult",
+    "match_plan",
+    "MatchPlan",
     "precision_recall",
     "pr_curve",
     "average_precision",
@@ -66,52 +68,89 @@ class MatchResult:
     n_gt: int  # non-difficult ground truths
 
 
-def match_detections(preds: list[BBox], gts: list[BBox], iou_thresh: float,
-                     ious: np.ndarray | None = None) -> MatchResult:
-    """Greedy matching: predictions in descending score order (ties broken by
-    input order) each claim the highest-IoU unmatched same-class GT with
-    IoU >= threshold.  A match to a difficult GT counts as neither TP nor FP.
-    ``ious`` is the class-masked (len(preds), len(gts)) IoU matrix (exactly 0
-    for pairs of different classes), built here when not given, so that the
-    thresholds of a sweep can share one.
-    """
+@dataclass
+class MatchPlan:
+    """The threshold-independent part of matching one image, for any threshold >= floor:
+    the score order and, per prediction with a candidate GT, its rank in that order, its
+    index and its (IoU, GT index) pairs, IoU > 0 and >= floor, IoU desc, then GT index."""
+    order: list[int]
+    candidates: list[tuple[int, int, list[tuple[float, int]]]]
+    difficult: list[bool]
+    n_gt: int  # non-difficult ground truths
+    floor: float
+
+
+def _class_masked_iou(preds: list[BBox], gts: list[BBox]) -> np.ndarray:
+    """The IoU of each same-class pair, exactly 0 for every other pair, from one
+    iou call per class on both sides: each entry keeps the full matrix's bits."""
+    pc, gc = [p.class_id for p in preds], [g.class_id for g in gts]
+    out = np.zeros((len(preds), len(gts)))
+    for c in set(pc) & set(gc):
+        pi, gi = [i for i, k in enumerate(pc) if k == c], [j for j, k in enumerate(gc) if k == c]
+        out[np.ix_(pi, gi)] = iou([preds[i] for i in pi], [gts[j] for j in gi])
+    return out
+
+
+def match_plan(preds: list[BBox], gts: list[BBox], floor: float,
+               ious: np.ndarray | None = None) -> MatchPlan:
+    """The plan match_detections runs for any threshold >= ``floor``, from the
+    class-masked IoU matrix ``ious`` (0 across classes), built here when not given."""
+    if ious is None:
+        ious = _class_masked_iou(preds, gts)
+    elif ious.shape != (len(preds), len(gts)):
+        raise ValueError(f"ious has shape {ious.shape}, expected {(len(preds), len(gts))}")
     # a stable sort: reverse=True keeps tied scores in input order
     order = sorted(range(len(preds)), reverse=True,
                    key=[1.0 if p.score is None else p.score for p in preds].__getitem__)
-    if ious is None:
-        same_class = (np.array([p.class_id for p in preds])[:, None]
-                      == np.array([g.class_id for g in gts])[None, :])
-        ious = np.where(same_class, iou(preds, gts), 0.0)
-    elif ious.shape != (len(preds), len(gts)):
-        raise ValueError(f"ious has shape {ious.shape}, expected {(len(preds), len(gts))}")
-    hit = (ious >= iou_thresh) & (ious > 0.0)
-    rows, cols = np.nonzero(hit)
-    # each prediction's candidate (GT index, IoU) pairs, in GT-index order
+    hit = np.flatnonzero((ious >= floor) & (ious > 0.0))  # 2-D np.nonzero is far slower
+    hit = hit[np.argsort(-ious.ravel()[hit], kind="stable")]  # IoU desc, then row-major
     candidates = [[] for _ in preds]
-    for pi, j, v in zip(rows.tolist(), cols.tolist(), ious[hit].tolist()):
-        candidates[pi].append((j, v))
-    taken = [False] * len(gts)
-    tp, ignored = [], []
-    matched_gt = {}
-    for pi in order:
-        best_j, best_iou = -1, 0.0
-        for j, v in candidates[pi]:
-            if not taken[j] and v > best_iou:
-                best_j, best_iou = j, v
-        difficult = best_j >= 0 and gts[best_j].difficult
-        if best_j >= 0:
-            taken[best_j] = True
-            matched_gt[pi] = best_j
-        tp.append(best_j >= 0 and not difficult)
-        ignored.append(difficult)
-    n_gt = sum(1 for g in gts if not g.difficult)
-    return MatchResult(order, tp, ignored, matched_gt, n_gt)
+    for k, v in zip(hit.tolist(), ious.ravel()[hit].tolist()):
+        candidates[k // len(gts)].append((v, k % len(gts)))
+    difficult = [g.difficult for g in gts]
+    return MatchPlan(order, [(rank, i, candidates[i]) for rank, i in enumerate(order)
+                             if candidates[i]], difficult, sum(not d for d in difficult), floor)
+
+
+def match_detections(preds: list[BBox], gts: list[BBox], iou_thresh: float,
+                     plan: MatchPlan | None = None) -> MatchResult:
+    """Greedy matching: predictions in descending score order (ties broken by
+    input order) each claim the highest-IoU unmatched same-class GT with
+    IoU >= threshold, the lowest GT index among equal IoUs.  A match to a
+    difficult GT counts as neither TP nor FP.  ``plan`` (built here with floor
+    ``iou_thresh`` when not given) lets the thresholds of a sweep share one."""
+    if plan is None:
+        plan = match_plan(preds, gts, iou_thresh)
+    elif (shape := (len(plan.order), len(plan.difficult))) != (len(preds), len(gts)):
+        raise ValueError(f"plan has shape {shape}, expected {(len(preds), len(gts))}")
+    elif iou_thresh < plan.floor:
+        raise ValueError(f"threshold {iou_thresh} is below the plan's floor {plan.floor}")
+    taken, matched_gt = [False] * len(gts), {}
+    tp, ignored = [False] * len(preds), [False] * len(preds)
+    for rank, pi, candidates in plan.candidates:
+        for v, j in candidates:  # IoU descending: the first untaken one wins
+            if v < iou_thresh:
+                break
+            if not taken[j]:
+                taken[j] = True
+                matched_gt[pi] = j
+                tp[rank], ignored[rank] = not plan.difficult[j], plan.difficult[j]
+                break
+    return MatchResult(list(plan.order), tp, ignored, matched_gt, plan.n_gt)
+
+
+def _paired(preds_by_image, gts_by_image):
+    """The (preds, gts) pair of each image; zip alone would drop unpaired ones."""
+    if len(preds_by_image) != len(gts_by_image):
+        raise ValueError(f"{len(preds_by_image)} prediction lists for {len(gts_by_image)} "
+                         "ground-truth lists: one of each per image")
+    return list(zip(preds_by_image, gts_by_image))
 
 
 def precision_recall(preds_by_image, gts_by_image, iou_thresh: float):
     """Dataset-level precision and recall at one threshold, all classes pooled."""
     tp = fp = n_gt = 0
-    for preds, gts in zip(preds_by_image, gts_by_image):
+    for preds, gts in _paired(preds_by_image, gts_by_image):
         m = match_detections(preds, gts, iou_thresh)
         tp += sum(m.tp)
         fp += sum(1 for t, ig in zip(m.tp, m.ignored) if not t and not ig)
@@ -123,23 +162,24 @@ def precision_recall(preds_by_image, gts_by_image, iou_thresh: float):
 
 def _sweep(preds_by_image, gts_by_image, class_ids, thresholds):
     """{threshold: {class_id: (recall, precision envelope, n_gt)}}.  Per class,
-    the image split, each image's score order and IoU matrix, and the (score
-    desc, image, rank) merge of all images run once; per threshold only
-    matching runs, and its flags, in each image's score order, go to the
-    merged order."""
+    the image split, each image's IoU matrix and match plan (floor: the
+    lowest threshold), and the (score desc, image, rank) merge of all images
+    run once; per threshold only the greedy pass runs, and its flags, in
+    each image's score order, go to the merged order."""
     curves = {t: {} for t in thresholds}
+    images = _paired(preds_by_image, gts_by_image)
     for cid in class_ids:
         split = [([p for p in preds if p.class_id == cid], [g for g in gts if g.class_id == cid])
-                 for preds, gts in zip(preds_by_image, gts_by_image)]
+                 for preds, gts in images]
         # each image's scores in match order, concatenated: the stable sort
         # breaks score ties by image, then by rank within the image
         ranked = np.array([s for ps, _ in split for s in sorted(
             (1.0 if p.score is None else p.score for p in ps), reverse=True)], dtype=np.float64)
         merged = np.argsort(-ranked, kind="stable")
         # single-class lists, so the plain IoU matrix is already class-masked
-        ious = [iou(ps, gs) for ps, gs in split]
+        plans = [match_plan(ps, gs, min(thresholds), iou(ps, gs)) for ps, gs in split]
         for t in thresholds:
-            matches = [match_detections(ps, gs, t, m) for (ps, gs), m in zip(split, ious)]
+            matches = [match_detections(ps, gs, t, plan) for (ps, gs), plan in zip(split, plans)]
             n_gt = sum(m.n_gt for m in matches)
             tp = np.array([v for m in matches for v in m.tp], dtype=bool)[merged]
             ignored = np.array([v for m in matches for v in m.ignored], dtype=bool)[merged]

@@ -298,6 +298,20 @@ class TestAPProperties:
                 call()
         assert evaluate(preds, gts, num_classes=4).evaluated_classes == 1 + (side == "gt")
 
+    def test_unpaired_image_lists_raise(self):
+        """evaluate([[p]], [[g], [g]]) once scored ap50=1.0 and recall=1.0:
+        zip dropped the second image, whose GT no prediction found."""
+        g, p = BBox(0, 0, 10, 10, 0), BBox(0, 0, 10, 10, 0, score=0.9)
+        for preds, gts in (([[p]], [[g], [g]]), ([[p], [p]], [[g]]), ([], [[g]]),
+                           ([[p]], [[], []])):  # no GT at all, so no class to sweep
+            for call in (lambda: evaluate(preds, gts), lambda: evaluate(preds, gts, 1),
+                         lambda: average_precision(preds, gts, 0.5),
+                         lambda: coco_ap(preds, gts), lambda: precision_recall(preds, gts, 0.5),
+                         lambda: pr_curve(preds, gts, 0, 0.5)):
+                with pytest.raises(ValueError, match=rf"^{len(preds)} prediction lists for "
+                                                     rf"{len(gts)} ground-truth lists"):
+                    call()
+
     def test_perfect_detector_all_ones(self):
         gts = [[BBox(0, 0, 10, 10, 0), BBox(20, 20, 25, 28, 1)]]
         preds = [[BBox(0, 0, 10, 10, 0, score=0.9), BBox(20, 20, 25, 28, 1, score=0.8)]]
@@ -475,36 +489,96 @@ class TestMatchingEquivalence:
                 seen["tie"] += len(ious) > 1 and max(ious) > 0 and ious.count(max(ious)) > 1
         assert all(v > 0 for v in seen.values()), seen
 
+    def test_plan_matches_scalar_loop_at_every_floor(self):
+        """One plan serves every threshold at or above its floor: a plan at
+        floor 0 or 0.5, shared like a sweep's, matches as the scalar oracle."""
+        rng = np.random.default_rng(2024)
+        thresholds = (0.0, 0.5, 0.75, 0.95, 1.0)
+        for _ in range(250):
+            preds, gts = tricky_image(rng)
+            plans = {floor: metrics.match_plan(preds, gts, floor) for floor in (0.0, 0.5)}
+            for t in thresholds:
+                ref = astuple(scalar_match(preds, gts, t))
+                assert astuple(match_detections(preds, gts, t)) == ref
+                for floor, plan in plans.items():
+                    if t >= floor:
+                        assert astuple(match_detections(preds, gts, t, plan)) == ref
+
     def test_masked_matrix_gives_the_same_match(self):
         """A class-masked IoU matrix passed in, built here from the scalar
-        form, matches exactly as the matrix match_detections builds itself."""
+        form, gives the plan the one built from no matrix gives."""
         rng = np.random.default_rng(2024)
         for _ in range(250):
             preds, gts = tricky_image(rng)
             masked = np.array([[scalar_iou(p, g) if p.class_id == g.class_id else 0.0
                                 for g in gts] for p in preds]).reshape(len(preds), len(gts))
             for t in self.THRESHOLDS:
-                assert astuple(match_detections(preds, gts, t, masked)) \
+                plan = metrics.match_plan(preds, gts, t, masked)
+                assert plan == metrics.match_plan(preds, gts, t)
+                assert astuple(match_detections(preds, gts, t, plan)) \
                     == astuple(match_detections(preds, gts, t))
 
     def test_wrong_shape_matrix_raises(self):
         preds = [BBox(0, 0, 4, 4, 0, score=0.9), BBox(1, 1, 5, 5, 0, score=0.5)]
         gts = [BBox(0, 0, 4, 4, 0)]
         for bad in (np.ones((1, 2)), np.ones((2,)), np.ones((2, 1, 1))):
-            with pytest.raises(ValueError, match=rf"{re.escape(str(bad.shape))}.*\(2, 1\)"):
-                match_detections(preds, gts, 0.5, bad)
+            with pytest.raises(ValueError, match=rf"{re.escape(str(bad.shape))}.*\(2, 1\)") as e:
+                metrics.match_plan(preds, gts, 0.5, bad)
+            assert "\n" not in str(e.value)
+
+    def test_plan_refuses_a_low_threshold_and_other_boxes(self):
+        preds = [BBox(0, 0, 4, 4, 0, score=0.9), BBox(1, 1, 5, 5, 0, score=0.5)]
+        gts = [BBox(0, 0, 4, 4, 0)]
+        plan = metrics.match_plan(preds, gts, 0.5)
+        cases = [((preds, gts, 0.45), r"threshold 0\.45 is below the plan's floor 0\.5"),
+                 ((preds[:1], gts, 0.5), r"plan has shape \(2, 1\), expected \(1, 1\)"),
+                 ((preds, gts * 2, 0.5), r"plan has shape \(2, 1\), expected \(2, 2\)"),
+                 ((preds, [], 0.5), r"plan has shape \(2, 1\), expected \(2, 0\)")]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message) as e:
+                match_detections(*args, plan)
+            assert "\n" not in str(e.value)
+        assert match_detections(preds, gts, 0.5, plan).tp == [True, False]
+
+    def test_class_masked_matrix_is_bit_equal_to_the_pooled_one(self):
+        """Blocks of one iou call per class on both sides, scattered into
+        zeros, give the bits of the full matrix masked by class."""
+        rng = np.random.default_rng(61)
+        scenes = [tricky_image(rng) for _ in range(200)]
+        scenes += [(p[0], g[0]) for p, g in (crowded_scene(seed) for seed in (0, 1))]
+        # class 5 only among predictions, class 2 only among GTs
+        scenes.append(([BBox(0, 0, 4, 4, 5, score=0.9), BBox(1, 1, 5, 5, 1, score=0.5)],
+                       [BBox(0, 0, 4, 4, 2), BBox(1, 1, 5, 6, 1), BBox(0, 0, 4, 4, 2)]))
+        one_sided = 0
+        for preds, gts in scenes:
+            pc, gc = {p.class_id for p in preds}, {g.class_id for g in gts}
+            one_sided += bool(pc ^ gc)
+            same_class = (np.array([p.class_id for p in preds])[:, None]
+                          == np.array([g.class_id for g in gts])[None, :])
+            pooled = np.where(same_class, iou(preds, gts), 0.0).reshape(len(preds), len(gts))
+            blocks = metrics._class_masked_iou(preds, gts)
+            assert blocks.shape == pooled.shape and blocks.dtype == pooled.dtype
+            assert blocks.tobytes() == pooled.tobytes()
+        assert one_sided > 50
 
     def test_one_iou_matrix_per_class_and_image_per_sweep(self, monkeypatch):
         """AP50, AP75 and the COCO sweep each build one IoU matrix per class
-        and image, shared by their thresholds; the pooled P/R pass one per
-        image."""
+        and image, shared by their thresholds; the pooled P/R pass one block
+        per class present on both sides of an image."""
         calls = []
         matrix = metrics.iou
         monkeypatch.setattr(metrics, "iou", lambda *a: calls.append(a) or matrix(*a))
         preds, gts = crowded_scene(0, n_images=4)
         classes, images = 3, 4
+        both_sides = sum(len({p.class_id for p in ps} & {g.class_id for g in gs})
+                         for ps, gs in zip(preds, gts))
         evaluate(preds, gts, num_classes=classes)
-        assert len(calls) == 3 * classes * images + images
+        assert both_sides == classes * images
+        assert len(calls) == 3 * classes * images + both_sides
+        calls.clear()
+        # a class on one side only costs the pooled pass no iou call
+        evaluate([preds[0], [p for p in preds[1] if p.class_id != 2]], gts[:2], num_classes=3)
+        assert len(calls) == 3 * classes * 2 + 3 + 2
 
     def test_evaluate_equals_scalar_matching(self, monkeypatch):
         rng = np.random.default_rng(7)
