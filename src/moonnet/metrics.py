@@ -99,14 +99,19 @@ def match_plan(preds: list[BBox], gts: list[BBox], floor: float,
         ious = _class_masked_iou(preds, gts)
     elif ious.shape != (len(preds), len(gts)):
         raise ValueError(f"ious has shape {ious.shape}, expected {(len(preds), len(gts))}")
-    # a stable sort: reverse=True keeps tied scores in input order
-    order = sorted(range(len(preds)), reverse=True,
-                   key=[1.0 if p.score is None else p.score for p in preds].__getitem__)
     hit = np.flatnonzero((ious >= floor) & (ious > 0.0))  # 2-D np.nonzero is far slower
     hit = hit[np.argsort(-ious.ravel()[hit], kind="stable")]  # IoU desc, then row-major
     candidates = [[] for _ in preds]
     for k, v in zip(hit.tolist(), ious.ravel()[hit].tolist()):
         candidates[k // len(gts)].append((v, k % len(gts)))
+    return _plan(preds, gts, floor, candidates)
+
+
+def _plan(preds, gts, floor, candidates) -> MatchPlan:
+    """The plan of ``candidates[i]``, prediction i's (IoU, GT index) list."""
+    # a stable sort: reverse=True keeps tied scores in input order
+    order = sorted(range(len(preds)), reverse=True,
+                   key=[1.0 if p.score is None else p.score for p in preds].__getitem__)
     difficult = [g.difficult for g in gts]
     return MatchPlan(order, [(rank, i, candidates[i]) for rank, i in enumerate(order)
                              if candidates[i]], difficult, sum(not d for d in difficult), floor)
@@ -147,11 +152,13 @@ def _paired(preds_by_image, gts_by_image):
     return list(zip(preds_by_image, gts_by_image))
 
 
-def precision_recall(preds_by_image, gts_by_image, iou_thresh: float):
-    """Dataset-level precision and recall at one threshold, all classes pooled."""
+def precision_recall(preds_by_image, gts_by_image, iou_thresh: float, plans=None):
+    """Dataset-level precision and recall at one threshold, all classes pooled,
+    from one match plan per image (floor <= iou_thresh), built here when not given."""
+    images = _paired(preds_by_image, gts_by_image)
     tp = fp = n_gt = 0
-    for preds, gts in _paired(preds_by_image, gts_by_image):
-        m = match_detections(preds, gts, iou_thresh)
+    for (preds, gts), plan in zip(images, plans or [None] * len(images)):
+        m = match_detections(preds, gts, iou_thresh, plan)
         tp += sum(m.tp)
         fp += sum(1 for t, ig in zip(m.tp, m.ignored) if not t and not ig)
         n_gt += m.n_gt
@@ -160,24 +167,33 @@ def precision_recall(preds_by_image, gts_by_image, iou_thresh: float):
     return precision, recall
 
 
-def _sweep(preds_by_image, gts_by_image, class_ids, thresholds):
-    """{threshold: {class_id: (recall, precision envelope, n_gt)}}.  Per class,
-    the image split, each image's IoU matrix and match plan (floor: the
-    lowest threshold), and the (score desc, image, rank) merge of all images
-    run once; per threshold only the greedy pass runs, and its flags, in
-    each image's score order, go to the merged order."""
-    curves = {t: {} for t in thresholds}
-    images = _paired(preds_by_image, gts_by_image)
+def _prepare(images, class_ids, floor):
+    """{class id: (split, merge, plans, indices)}: per image the class's (preds, gts),
+    match plan with floor ``floor`` and box indices; the (score desc, image, rank) merge."""
+    groups = [({}, {}) for _ in images]  # {class id: box indices}, one pass per image
+    for image, pair in zip(images, groups):
+        for boxes, by_id in zip(image, pair):
+            for i, b in enumerate(boxes):
+                by_id.setdefault(b.class_id, []).append(i)
+    classes = {}
     for cid in class_ids:
-        split = [([p for p in preds if p.class_id == cid], [g for g in gts if g.class_id == cid])
-                 for preds, gts in images]
-        # each image's scores in match order, concatenated: the stable sort
-        # breaks score ties by image, then by rank within the image
+        indices = [(pg.get(cid, []), gg.get(cid, [])) for pg, gg in groups]
+        split = [([preds[i] for i in pi], [gts[j] for j in gi])
+                 for (preds, gts), (pi, gi) in zip(images, indices)]
+        # each image's scores in match order: the stable sort breaks ties by image, then rank
         ranked = np.array([s for ps, _ in split for s in sorted(
             (1.0 if p.score is None else p.score for p in ps), reverse=True)], dtype=np.float64)
-        merged = np.argsort(-ranked, kind="stable")
         # single-class lists, so the plain IoU matrix is already class-masked
-        plans = [match_plan(ps, gs, min(thresholds), iou(ps, gs)) for ps, gs in split]
+        plans = [match_plan(ps, gs, floor, iou(ps, gs)) for ps, gs in split]
+        classes[cid] = split, np.argsort(-ranked, kind="stable"), plans, indices
+    return classes
+
+
+def _curves(classes, thresholds):
+    """{threshold: {class_id: (recall, precision envelope, n_gt)}}: per threshold only
+    the greedy pass runs, and its flags, in each image's score order, go to the merge."""
+    curves = {t: {} for t in thresholds}
+    for cid, (split, merged, plans, _) in classes.items():
         for t in thresholds:
             matches = [match_detections(ps, gs, t, plan) for (ps, gs), plan in zip(split, plans)]
             n_gt = sum(m.n_gt for m in matches)
@@ -194,16 +210,15 @@ def pr_curve(preds_by_image, gts_by_image, class_id: int, iou_thresh: float):
     """(recall, precision-envelope) points for one class, plus n_gt: the
     predictions of all images swept in descending score order, the precision
     the running maximum from the right."""
-    [curves] = _sweep(preds_by_image, gts_by_image, [class_id], [iou_thresh]).values()
-    recall, precision, n_gt = curves[class_id]
+    classes = _prepare(_paired(preds_by_image, gts_by_image), [class_id], iou_thresh)
+    recall, precision, n_gt = _curves(classes, [iou_thresh])[iou_thresh][class_id]
     return recall.tolist(), precision.tolist(), n_gt
 
 
-def _mean_aps(preds_by_image, gts_by_image, thresholds, num_classes):
-    """[(mean AP, per-class AP)] per threshold.  Without ``num_classes`` only
-    the class ids present in the ground truth are swept, since no other class
-    can enter the mean.  With it, every box's class id must be in
-    range(num_classes): a box outside would be dropped from AP silently."""
+def _prepare_aps(preds_by_image, gts_by_image, num_classes, floor):
+    """``_prepare`` of the class ids AP sweeps: those in the ground truth (no
+    other class can enter the mean), or range(num_classes), outside which no
+    box's class id may lie, since it would be dropped from AP silently."""
     if num_classes is None:
         class_ids = sorted({b.class_id for gts in gts_by_image for b in gts})
     else:
@@ -214,8 +229,13 @@ def _mean_aps(preds_by_image, gts_by_image, thresholds, num_classes):
         if outside:
             raise ValueError(f"class id {outside[0]} is outside range(num_classes={num_classes})")
         class_ids = range(num_classes)
+    return _prepare(_paired(preds_by_image, gts_by_image), class_ids, floor)
+
+
+def _mean_aps(classes, thresholds):
+    """[(mean AP, per-class AP)] per threshold, from ``_prepare``'s classes."""
     out = []
-    for curves in _sweep(preds_by_image, gts_by_image, class_ids, thresholds).values():
+    for curves in _curves(classes, thresholds).values():
         per_class = {}
         for cid, (recall, precision, n_gt) in curves.items():
             if n_gt:  # a class absent from ground truth is excluded from the mean
@@ -230,12 +250,14 @@ def average_precision(preds_by_image, gts_by_image, iou_thresh: float,
                       num_classes: int | None = None):
     """All-point interpolated AP per class and the mean over classes with
     at least one ground truth.  Returns (mean_ap, per_class dict)."""
-    return _mean_aps(preds_by_image, gts_by_image, [iou_thresh], num_classes)[0]
+    classes = _prepare_aps(preds_by_image, gts_by_image, num_classes, iou_thresh)
+    return _mean_aps(classes, [iou_thresh])[0]
 
 
 def coco_ap(preds_by_image, gts_by_image, num_classes: int | None = None) -> float:
     """Mean AP over IoU thresholds 0.50:0.05:0.95."""
-    vals = [m for m, _ in _mean_aps(preds_by_image, gts_by_image, COCO_THRESHOLDS, num_classes)]
+    classes = _prepare_aps(preds_by_image, gts_by_image, num_classes, COCO_THRESHOLDS[0])
+    vals = [m for m, _ in _mean_aps(classes, COCO_THRESHOLDS)]
     return sum(vals) / len(vals)
 
 
@@ -255,11 +277,19 @@ class EvalResult:
 
 def evaluate(preds_by_image, gts_by_image, num_classes: int | None = None) -> EvalResult:
     """The full metric block: AP50, AP75, swept AP, recall, precision."""
-    ap50, per_class = average_precision(preds_by_image, gts_by_image, 0.5, num_classes)
-    ap75, _ = average_precision(preds_by_image, gts_by_image, 0.75, num_classes)
-    ap = coco_ap(preds_by_image, gts_by_image, num_classes)
-    precision, recall = precision_recall(preds_by_image, gts_by_image, 0.5)
-    return EvalResult(ap50=ap50, ap75=ap75, ap=ap, recall=recall,
+    classes = _prepare_aps(preds_by_image, gts_by_image, num_classes, 0.5)
+    [(ap50, per_class)], [(ap75, _)] = _mean_aps(classes, [0.5]), _mean_aps(classes, [0.75])
+    coco = [m for m, _ in _mean_aps(classes, COCO_THRESHOLDS)]
+    # the pooled plans, each == match_plan(preds, gts, 0.5), re-index the class plans:
+    # candidates never cross classes, and every class on both sides is in ``classes``
+    candidates = [[[] for _ in preds] for preds in preds_by_image]
+    for _, _, plans, indices in classes.values():
+        for image, plan, (pi, gi) in zip(candidates, plans, indices):
+            for _, i, cands in plan.candidates:
+                image[pi[i]] = [(v, gi[j]) for v, j in cands]
+    precision, recall = precision_recall(preds_by_image, gts_by_image, 0.5, [
+        _plan(p, g, 0.5, c) for p, g, c in zip(preds_by_image, gts_by_image, candidates)])
+    return EvalResult(ap50=ap50, ap75=ap75, ap=sum(coco) / len(coco), recall=recall,
                       precision=precision, evaluated_classes=len(per_class))
 
 

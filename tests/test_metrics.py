@@ -349,10 +349,11 @@ def scalar_iou(a, b):
     return inter / (a.area + b.area - inter)
 
 
-def scalar_match(preds, gts, iou_thresh, ious=None):
+def scalar_match(preds, gts, iou_thresh, plan=None):
     """Greedy matching as one scalar IoU per (prediction, GT) pair: the
     O(P*G) loop that match_detections replaced, kept as its oracle.  It
-    ignores a shared ``ious`` matrix and computes every IoU itself."""
+    takes match_detections' arguments but ignores a shared ``plan`` and
+    computes every IoU itself."""
     order = sorted(range(len(preds)),
                    key=lambda i: (-(preds[i].score if preds[i].score is not None else 1.0), i))
     taken = [False] * len(gts)
@@ -561,24 +562,58 @@ class TestMatchingEquivalence:
             assert blocks.tobytes() == pooled.tobytes()
         assert one_sided > 50
 
-    def test_one_iou_matrix_per_class_and_image_per_sweep(self, monkeypatch):
-        """AP50, AP75 and the COCO sweep each build one IoU matrix per class
-        and image, shared by their thresholds; the pooled P/R pass one block
-        per class present on both sides of an image."""
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        """evaluate()'s calls of the module global ``name``: C*I on a crowded
+        scene, and still one per class and image when a class is on one side
+        only of an image."""
         calls = []
-        matrix = metrics.iou
-        monkeypatch.setattr(metrics, "iou", lambda *a: calls.append(a) or matrix(*a))
+        build = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name, lambda *a: calls.append(a) or build(*a))
         preds, gts = crowded_scene(0, n_images=4)
         classes, images = 3, 4
-        both_sides = sum(len({p.class_id for p in ps} & {g.class_id for g in gs})
-                         for ps, gs in zip(preds, gts))
         evaluate(preds, gts, num_classes=classes)
-        assert both_sides == classes * images
-        assert len(calls) == 3 * classes * images + both_sides
+        assert len(calls) == classes * images
         calls.clear()
-        # a class on one side only costs the pooled pass no iou call
         evaluate([preds[0], [p for p in preds[1] if p.class_id != 2]], gts[:2], num_classes=3)
-        assert len(calls) == 3 * classes * 2 + 3 + 2
+        assert len(calls) == classes * 2
+
+    def test_one_iou_matrix_per_class_and_image_per_sweep(self, monkeypatch):
+        """One IoU matrix per class and image for all of evaluate(): AP50,
+        AP75, the COCO sweep and the pooled P/R pass all read it."""
+        self._count_calls(monkeypatch, "iou")
+
+    def test_one_match_plan_per_class_and_image(self, monkeypatch):
+        """One match plan (floor 0.5) per class and image for all of evaluate();
+        the pooled P/R plans are assembled from them, not built."""
+        self._count_calls(monkeypatch, "match_plan")
+
+    def test_pooled_plans_equal_match_plan(self, monkeypatch):
+        """The P/R plans evaluate() assembles from the class plans are == to
+        match_plan(preds, gts, 0.5) image by image, with and without
+        num_classes, also where a class id is on one side only."""
+        seen = []
+        pooled = metrics.precision_recall
+        monkeypatch.setattr(metrics, "precision_recall",
+                            lambda p, g, t, plans: seen.append(plans) or pooled(p, g, t, plans))
+        rng = np.random.default_rng(2024)
+        images = [tricky_image(rng) for _ in range(250)]
+        scenes = [tuple(zip(*images[k:k + 3])) for k in range(0, 250, 3)]
+        # class 5 only among image 0's predictions and image 1's GTs, class 2 only among GTs
+        scenes += [([[BBox(0, 0, 4, 4, 5, score=0.9), BBox(1, 1, 5, 5, 1, score=0.5)], []],
+                    [[BBox(0, 0, 4, 4, 2), BBox(1, 1, 5, 6, 1), BBox(0, 0, 4, 4, 2)],
+                     [BBox(0, 0, 4, 4, 5)]])]
+        one_sided = 0
+        for preds, gts in scenes:
+            for num_classes in (None, 6):
+                seen.clear()
+                evaluate(list(preds), list(gts), num_classes)
+                [plans] = seen
+                assert len(plans) == len(preds)
+                for p, g, plan in zip(preds, gts, plans):
+                    assert plan == metrics.match_plan(p, g, 0.5)
+                    one_sided += bool({b.class_id for b in p} ^ {b.class_id for b in g})
+        assert one_sided > 50
 
     def test_evaluate_equals_scalar_matching(self, monkeypatch):
         rng = np.random.default_rng(7)
