@@ -79,15 +79,14 @@ class SEBlock(Module):
 
     def __init__(self, channels: int, reduction: int = 16,
                  gate: GateKind = GateKind.RESIDUAL_TANH,
-                 rng: np.random.Generator | int | None = 0,
-                 dtype=np.float32, name: str = "se"):
+                 rng: np.random.Generator | int | None = 0, name: str = "se"):
         self.channels = channels
         self.m = bottleneck_width(channels, reduction)
         self.gate = gate
-        self.w1 = Param(f"{name}/w1", np.zeros((self.m, channels), dtype=dtype))
-        self.b1 = Param(f"{name}/b1", np.zeros((self.m,), dtype=dtype))
-        self.w2 = Param(f"{name}/w2", np.zeros((channels, self.m), dtype=dtype))
-        self.b2 = Param(f"{name}/b2", np.zeros((channels,), dtype=dtype))
+        self.w1 = Param(f"{name}/w1", np.zeros((self.m, channels), dtype=np.float32))
+        self.b1 = Param(f"{name}/b1", np.zeros((self.m,), dtype=np.float32))
+        self.w2 = Param(f"{name}/w2", np.zeros((channels, self.m), dtype=np.float32))
+        self.b2 = Param(f"{name}/b2", np.zeros((channels,), dtype=np.float32))
         self._tape = None
         if rng is not None:
             self._init(np.random.default_rng(rng))
@@ -98,7 +97,7 @@ class SEBlock(Module):
         for p in self.parameters():
             p.value[...] = 0.0
         for p in (self.w1, self.b1):
-            p.value[...] = uniform_init(rng, p.value.shape, self.channels, p.value.dtype)
+            p.value[...] = uniform_init(rng, p.value.shape, self.channels)
         return self
 
     def _channel_gate(self, x: Tensor4, pools):
@@ -157,15 +156,15 @@ class CBAMBlock(SEBlock):
 
     def __init__(self, channels: int, reduction: int = 16, kernel_size: int = 7,
                  gate: GateKind = GateKind.RESIDUAL_TANH,
-                 rng: np.random.Generator | int | None = 0,
-                 dtype=np.float32, name: str = "cbam"):
+                 rng: np.random.Generator | int | None = 0, name: str = "cbam"):
         if kernel_size % 2 == 0:
             raise ValueError(f"spatial kernel size must be odd, got {kernel_size}")
-        super().__init__(channels, reduction, gate, rng, dtype, name)
+        super().__init__(channels, reduction, gate, rng, name)
         self.k = kernel_size
         self.spatial_kernel = Param(f"{name}/spatial_kernel",
-                                    np.zeros((1, 2, kernel_size, kernel_size), dtype=dtype))
-        self.spatial_bias = Param(f"{name}/spatial_bias", np.zeros((1,), dtype=dtype))
+                                    np.zeros((1, 2, kernel_size, kernel_size),
+                                             dtype=np.float32))
+        self.spatial_bias = Param(f"{name}/spatial_bias", np.zeros((1,), dtype=np.float32))
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         # pools are passed per call, not stored, so a patched module-level pool takes effect

@@ -19,6 +19,7 @@ import numpy as np
 
 from .attention import CBAMBlock, GateKind, SEBlock
 from .tensor import (
+    Buffer,
     Module,
     Param,
     ShapeError,
@@ -132,27 +133,24 @@ class ConvBlock(Module):
     batchnorm subtracts the batch mean, which would cancel it.  With
     ``rng=None`` the kernel is zeros instead of drawn."""
 
-    def __init__(self, c_in, c_out, k, rng, dtype, name, stride=1):
+    def __init__(self, c_in, c_out, k, rng, name, stride=1):
         self.stride, self.pad = stride, (k - 1) // 2
         shape = (c_out, c_in, k, k)
         self.weight = Param(f"{name}/weight",
-                            np.zeros(shape, dtype=dtype) if rng is None
-                            else uniform_init(rng, shape, c_in * k * k, dtype))
-        self.gamma = Param(f"{name}/bn_gamma", np.ones((c_out,), dtype=dtype))
-        self.beta = Param(f"{name}/bn_beta", np.zeros((c_out,), dtype=dtype))
-        self.running_mean = np.zeros((c_out,), dtype=dtype)
-        self.running_var = np.ones((c_out,), dtype=dtype)
+                            np.zeros(shape, dtype=np.float32) if rng is None
+                            else uniform_init(rng, shape, c_in * k * k))
+        self.gamma = Param(f"{name}/bn_gamma", np.ones((c_out,), dtype=np.float32))
+        self.beta = Param(f"{name}/bn_beta", np.zeros((c_out,), dtype=np.float32))
+        self.running_mean = Buffer(f"{name}/bn_running_mean",
+                                   np.zeros((c_out,), dtype=np.float32))
+        self.running_var = Buffer(f"{name}/bn_running_var", np.ones((c_out,), dtype=np.float32))
         self._tape = None
-
-    def named_tensors(self):
-        prefix = self.weight.name.rsplit("/", 1)[0]
-        return super().named_tensors() + [(f"{prefix}/bn_running_mean", self.running_mean),
-                                          (f"{prefix}/bn_running_var", self.running_var)]
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         y, bw_conv = conv2d(x, self.weight.value, None, stride=self.stride, pad=self.pad)
         y, bw_bn = batchnorm(y, self.gamma.value, self.beta.value, training=training,
-                             running_mean=self.running_mean, running_var=self.running_var)
+                             running_mean=self.running_mean.value,
+                             running_var=self.running_var.value)
         y, bw_act = silu(y)
         self._tape = (bw_conv, bw_bn, bw_act) if training else None
         return y
@@ -171,9 +169,9 @@ class ConvBlock(Module):
 class Bottleneck(Module):
     """Two 3x3 conv blocks with a residual add (channel-preserving)."""
 
-    def __init__(self, channels, rng, dtype, name):
-        self.cv1 = ConvBlock(channels, channels, 3, rng, dtype, f"{name}/cv1")
-        self.cv2 = ConvBlock(channels, channels, 3, rng, dtype, f"{name}/cv2")
+    def __init__(self, channels, rng, name):
+        self.cv1 = ConvBlock(channels, channels, 3, rng, f"{name}/cv1")
+        self.cv2 = ConvBlock(channels, channels, 3, rng, f"{name}/cv2")
         self._tape = None
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
@@ -194,13 +192,13 @@ class C2f(Module):
     """Simplified split/bottleneck/concat block: 1x1 conv, split in half,
     run one bottleneck on the second half, concat, 1x1 conv."""
 
-    def __init__(self, channels, rng, dtype, name):
+    def __init__(self, channels, rng, name):
         if channels % 2:
             raise ConfigError(f"C2f needs an even channel count, got {channels}")
         self.channels = channels
-        self.cv1 = ConvBlock(channels, channels, 1, rng, dtype, f"{name}/cv1")
-        self.block = Bottleneck(channels // 2, rng, dtype, f"{name}/b0")
-        self.cv2 = ConvBlock(channels, channels, 1, rng, dtype, f"{name}/cv2")
+        self.cv1 = ConvBlock(channels, channels, 1, rng, f"{name}/cv1")
+        self.block = Bottleneck(channels // 2, rng, f"{name}/b0")
+        self.cv2 = ConvBlock(channels, channels, 1, rng, f"{name}/cv2")
         self._tape = None
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
@@ -221,30 +219,29 @@ class C2f(Module):
 
 
 def _make_attention(kind: AttentionKind, channels: int, gate: GateKind, reduction: int,
-                    spatial_kernel: int, rng, dtype, name):
+                    spatial_kernel: int, rng, name):
     if kind is AttentionKind.SE:
-        return SEBlock(channels, reduction, gate, rng=rng, dtype=dtype, name=name)
+        return SEBlock(channels, reduction, gate, rng=rng, name=name)
     if kind is AttentionKind.CBAM:
-        return CBAMBlock(channels, reduction, spatial_kernel, gate, rng=rng,
-                         dtype=dtype, name=name)
+        return CBAMBlock(channels, reduction, spatial_kernel, gate, rng=rng, name=name)
     return None
 
 
 class Stage(Module):
     """stride-2 conv block -> attention -> optional C2f."""
 
-    def __init__(self, c_in, spec: StageSpec, design: BackboneDesign, seed, idx, dtype):
+    def __init__(self, c_in, spec: StageSpec, design: BackboneDesign, seed, idx):
         # dedicated streams per component so attention draws never shift the
         # conv weights between designs; no seed, no streams and no draws
         conv_rng, att_rng, c2f_rng = (
             [None] * 3 if seed is None
             else [np.random.default_rng([seed, idx, j]) for j in range(3)])
-        self.conv = ConvBlock(c_in, spec.out_channels, 3, conv_rng, dtype,
-                              f"stage{idx}/conv", stride=2)
+        self.conv = ConvBlock(c_in, spec.out_channels, 3, conv_rng, f"stage{idx}/conv",
+                              stride=2)
         self.attention = _make_attention(spec.attention, spec.out_channels, design.gate,
                                          design.reduction, design.spatial_kernel,
-                                         att_rng, dtype, name=f"stage{idx}/att")
-        self.c2f = (C2f(spec.out_channels, c2f_rng, dtype, f"stage{idx}/c2f")
+                                         att_rng, name=f"stage{idx}/att")
+        self.c2f = (C2f(spec.out_channels, c2f_rng, f"stage{idx}/c2f")
                     if spec.has_c2f else None)
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
@@ -270,11 +267,11 @@ class Backbone(Module):
     weight is zeros, for a caller that fills them from a checkpoint.
     """
 
-    def __init__(self, design: BackboneDesign, seed: int | None = 0, dtype=np.float32):
+    def __init__(self, design: BackboneDesign, seed: int | None = 0):
         self.stages = []
         c = IN_CHANNELS
         for i, spec in enumerate(design.stages):
-            self.stages.append(Stage(c, spec, design, seed, i, dtype=dtype))
+            self.stages.append(Stage(c, spec, design, seed, i))
             c = spec.out_channels
 
     def num_parameters(self) -> int:
@@ -314,7 +311,7 @@ class Backbone(Module):
 def per_branch_attention(branches: list[Tensor4], kinds: list[AttentionKind],
                          gate: GateKind = GateKind.RESIDUAL_TANH,
                          reduction: int = 16, spatial_kernel: int = 7,
-                         seed: int = 0, dtype=np.float32):
+                         seed: int = 0):
     """Apply one dedicated attention block to each multi-resolution branch.
 
     Shapes are unchanged; with the residual gate at identity-safe init the
@@ -326,7 +323,7 @@ def per_branch_attention(branches: list[Tensor4], kinds: list[AttentionKind],
     outs, modules = [], []
     for i, (f, kind) in enumerate(zip(branches, kinds)):
         rng = np.random.default_rng([seed, i])
-        mod = _make_attention(kind, f.c, gate, reduction, spatial_kernel, rng, dtype,
+        mod = _make_attention(kind, f.c, gate, reduction, spatial_kernel, rng,
                               name=f"branch{i}/att")
         modules.append(mod)
         outs.append(f if mod is None else mod.forward(f, training=False))

@@ -152,6 +152,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.input_size is not None:
+        raise ConfigError("sweep trains at each --sizes entry; give the sizes there, "
+                          "not with --input-size or --size")
     cfg = _build_config(args)
     try:
         sizes = [int(s) for s in args.sizes.split(",")]

@@ -185,10 +185,9 @@ def check_attention(kind: str, input_shape, gate: GateKind, seed: int = 0):
     rng = np.random.default_rng(seed)
     c = input_shape[1]
     if kind == "se":
-        module = SEBlock(c, reduction=4, gate=gate, rng=rng, dtype=np.float64)
+        module = SEBlock(c, reduction=4, gate=gate, rng=rng).cast(np.float64)
     elif kind == "cbam":
-        module = CBAMBlock(c, reduction=4, kernel_size=3, gate=gate, rng=rng,
-                           dtype=np.float64)
+        module = CBAMBlock(c, reduction=4, kernel_size=3, gate=gate, rng=rng).cast(np.float64)
     else:
         raise ValueError(f"unknown attention kind {kind!r}")
     for p in module.parameters():
@@ -207,7 +206,7 @@ def check_backbone(input_shape=(1, 3, 8, 8), seed: int = 0):
     design = build_design(5, gate=GateKind.RESIDUAL_TANH, ladder=(16, 32, 64, 128, 256),
                          width_multiplier=0.25, reduction=4, spatial_kernel=3)
     design.stages = design.stages[:2]
-    bb = Backbone(design, seed=seed, dtype=np.float64)
+    bb = Backbone(design, seed=seed).cast(np.float64)
     # perturb every parameter away from the identity-safe zeros so all
     # gradient paths (attention projections included) are active
     for p in bb.parameters():

@@ -80,25 +80,18 @@ class MatchPlan:
     floor: float
 
 
-def _class_masked_iou(preds: list[BBox], gts: list[BBox]) -> np.ndarray:
-    """The IoU of each same-class pair, exactly 0 for every other pair, from one
-    iou call per class on both sides: each entry keeps the full matrix's bits."""
-    pc, gc = [p.class_id for p in preds], [g.class_id for g in gts]
-    out = np.zeros((len(preds), len(gts)))
-    for c in set(pc) & set(gc):
-        pi, gi = [i for i, k in enumerate(pc) if k == c], [j for j, k in enumerate(gc) if k == c]
-        out[np.ix_(pi, gi)] = iou([preds[i] for i in pi], [gts[j] for j in gi])
-    return out
+def match_plan(preds: list[BBox], gts: list[BBox], floor: float) -> MatchPlan:
+    """The plan match_detections runs for any threshold >= ``floor``: the plans of
+    the classes on both sides, re-indexed into the image's box indices."""
+    images = [(preds, gts)]
+    both = {p.class_id for p in preds} & {g.class_id for g in gts}
+    return _pooled_plans(images, _prepare(images, both, floor), floor)[0]
 
 
-def match_plan(preds: list[BBox], gts: list[BBox], floor: float,
-               ious: np.ndarray | None = None) -> MatchPlan:
-    """The plan match_detections runs for any threshold >= ``floor``, from the
-    class-masked IoU matrix ``ious`` (0 across classes), built here when not given."""
-    if ious is None:
-        ious = _class_masked_iou(preds, gts)
-    elif ious.shape != (len(preds), len(gts)):
-        raise ValueError(f"ious has shape {ious.shape}, expected {(len(preds), len(gts))}")
+def _class_plan(preds: list[BBox], gts: list[BBox], floor: float) -> MatchPlan:
+    """The plan of one class's boxes in one image, from one iou call: the lists
+    hold one class, so the plain IoU matrix is already class-masked."""
+    ious = iou(preds, gts)
     hit = np.flatnonzero((ious >= floor) & (ious > 0.0))  # 2-D np.nonzero is far slower
     hit = hit[np.argsort(-ious.ravel()[hit], kind="stable")]  # IoU desc, then row-major
     candidates = [[] for _ in preds]
@@ -183,10 +176,21 @@ def _prepare(images, class_ids, floor):
         # each image's scores in match order: the stable sort breaks ties by image, then rank
         ranked = np.array([s for ps, _ in split for s in sorted(
             (1.0 if p.score is None else p.score for p in ps), reverse=True)], dtype=np.float64)
-        # single-class lists, so the plain IoU matrix is already class-masked
-        plans = [match_plan(ps, gs, floor, iou(ps, gs)) for ps, gs in split]
+        plans = [_class_plan(ps, gs, floor) for ps, gs in split]
         classes[cid] = split, np.argsort(-ranked, kind="stable"), plans, indices
     return classes
+
+
+def _pooled_plans(images, classes, floor):
+    """Each image's all-class plan (floor ``floor``), by re-indexing the class plans
+    of ``_prepare``'s ``classes``, which must hold every class on both sides of an
+    image: candidates never cross classes."""
+    candidates = [[[] for _ in preds] for preds, _ in images]
+    for _, _, plans, indices in classes.values():
+        for image, plan, (pi, gi) in zip(candidates, plans, indices):
+            for _, i, cands in plan.candidates:
+                image[pi[i]] = [(v, gi[j]) for v, j in cands]
+    return [_plan(preds, gts, floor, c) for (preds, gts), c in zip(images, candidates)]
 
 
 def _curves(classes, thresholds):
@@ -280,15 +284,9 @@ def evaluate(preds_by_image, gts_by_image, num_classes: int | None = None) -> Ev
     classes = _prepare_aps(preds_by_image, gts_by_image, num_classes, 0.5)
     [(ap50, per_class)], [(ap75, _)] = _mean_aps(classes, [0.5]), _mean_aps(classes, [0.75])
     coco = [m for m, _ in _mean_aps(classes, COCO_THRESHOLDS)]
-    # the pooled plans, each == match_plan(preds, gts, 0.5), re-index the class plans:
-    # candidates never cross classes, and every class on both sides is in ``classes``
-    candidates = [[[] for _ in preds] for preds in preds_by_image]
-    for _, _, plans, indices in classes.values():
-        for image, plan, (pi, gi) in zip(candidates, plans, indices):
-            for _, i, cands in plan.candidates:
-                image[pi[i]] = [(v, gi[j]) for v, j in cands]
-    precision, recall = precision_recall(preds_by_image, gts_by_image, 0.5, [
-        _plan(p, g, 0.5, c) for p, g, c in zip(preds_by_image, gts_by_image, candidates)])
+    # ``classes`` (GT ids or range(num_classes)) holds every class on both sides
+    plans = _pooled_plans(_paired(preds_by_image, gts_by_image), classes, 0.5)
+    precision, recall = precision_recall(preds_by_image, gts_by_image, 0.5, plans)
     return EvalResult(ap50=ap50, ap75=ap75, ap=sum(coco) / len(coco), recall=recall,
                       precision=precision, evaluated_classes=len(per_class))
 

@@ -17,6 +17,7 @@ __all__ = [
     "ShapeError",
     "Tensor4",
     "Param",
+    "Buffer",
     "Module",
     "KinkTrace",
     "uniform_init",
@@ -110,11 +111,19 @@ class Param:
         return f"Param({self.name!r}, shape={self.value.shape})"
 
 
+class Buffer(Param):
+    """Named array that is state, not learned, such as a batchnorm running
+    statistic: ``named_tensors()`` and ``cast`` walk it, ``parameters()``
+    skips it, so it never receives a gradient or an optimizer update."""
+
+    __slots__ = ()
+
+
 class Module:
-    """Base of every layer.  ``parameters()``, ``named_tensors()`` and
-    ``zero_grad()`` walk the instance's ``Param``, ``Module`` and
-    list-of-``Module`` attributes in assignment order, which is the
-    checkpoint order.  Subclasses define ``forward(x, training)`` and
+    """Base of every layer.  ``parameters()``, ``named_tensors()``,
+    ``zero_grad()`` and ``cast()`` walk the instance's ``Param``, ``Buffer``,
+    ``Module`` and list-of-``Module`` attributes in assignment order, which is
+    the checkpoint order.  Subclasses define ``forward(x, training)`` and
     ``backward(g)``, keeping what backward needs in ``self._tape`` in
     training only: an eval forward records no tape."""
 
@@ -125,30 +134,39 @@ class Module:
             elif isinstance(v, list):
                 yield from (m for m in v if isinstance(m, Module))
 
-    def parameters(self) -> list[Param]:
+    def _tensors(self) -> list[Param]:
+        """Every Param and Buffer of this module and its members, in order."""
         out = []
         for v in self._members():
-            out += [v] if isinstance(v, Param) else v.parameters()
+            out += [v] if isinstance(v, Param) else v._tensors()
         return out
 
+    def parameters(self) -> list[Param]:
+        return [p for p in self._tensors() if not isinstance(p, Buffer)]
+
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for v in self._members():
-            out += [(v.name, v.value)] if isinstance(v, Param) else v.named_tensors()
-        return out
+        return [(p.name, p.value) for p in self._tensors()]
 
     def zero_grad(self):
         for p in self.parameters():
             p.zero_grad()
 
+    def cast(self, dtype):
+        """Recast every Param and Buffer to ``dtype`` in place and return the
+        module: layers are built float32, and the gradient oracle casts them
+        to float64."""
+        for p in self._tensors():
+            p.value = p.value.astype(dtype)
+        return self
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    """Weights drawn uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)), cast to dtype.
+
+def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    """Float32 weights drawn uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)).
     Every drawn weight comes from here; a module built without a generator
     (``rng=None``, as ``load_model_checkpoint`` builds its model) calls it not
     at all and leaves those weights zero."""
     bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 class KinkTrace:

@@ -150,7 +150,7 @@ class PatchModel(Module):
         shape = (1, c_last, 1, 1)
         self.head_w = Param("head/weight", np.zeros(shape, dtype=np.float32) if seed is None
                             else uniform_init(np.random.default_rng([seed, 1000]), shape,
-                                              c_last, np.float32))
+                                              c_last))
         self.head_b = Param("head/bias", np.zeros((1,), dtype=np.float32))
         self._tape = None
 
@@ -203,11 +203,14 @@ def train(cfg: ExperimentConfig, out_dir=None, target_accuracy: float | None = N
           fixed_batch: bool = False) -> TrainResult:
     """Train a patch model; fully deterministic under (config, seed).
 
-    ``target_accuracy`` stops early once the trailing-20-step mean accuracy
-    reaches the target.  ``fixed_batch`` trains full-batch on one fixed batch
-    (deterministic gradient descent, used by the smoke property tests).
+    ``target_accuracy``, in (0, 1], stops early once the trailing-20-step mean
+    accuracy reaches the target.  ``fixed_batch`` trains full-batch on one fixed
+    batch (deterministic gradient descent, used by the smoke property tests).
     """
     cfg.validate()
+    # a negated range test, so that nan fails it too
+    if target_accuracy is not None and not 0.0 < target_accuracy <= 1.0:
+        raise ConfigError(f"target accuracy must be in (0, 1], got {target_accuracy}")
     task = SyntheticPatchTask(cfg.input_size, cfg.augment)
     model = PatchModel(cfg)
     opt = SGD(model.parameters(), cfg.lr, cfg.momentum)

@@ -281,11 +281,13 @@ class TestIdentitySafeInit:
     @pytest.mark.parametrize("gate", list(GateKind))
     @pytest.mark.parametrize("cls", [SEBlock, CBAMBlock])
     def test_reinit_equals_construction_with_seed(self, cls, gate, dtype):
+        """Blocks are built float32; a block cast to float64 re-initializes to
+        the bits of a fresh block cast the same way."""
         for s in (0, 7):
-            block = cls(24, gate=gate, rng=np.random.default_rng(99), dtype=dtype)
+            block = cls(24, gate=gate, rng=np.random.default_rng(99)).cast(dtype)
             randomize(block, seed=s + 1)
             identity_safe_init(block, s)
-            fresh = cls(24, gate=gate, rng=np.random.default_rng(s), dtype=dtype)
+            fresh = cls(24, gate=gate, rng=np.random.default_rng(s)).cast(dtype)
             pairs = list(zip(block.named_tensors(), fresh.named_tensors()))
             assert len(pairs) == (6 if cls is CBAMBlock else 4)
             for (name, a), (fresh_name, b) in pairs:

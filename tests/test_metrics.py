@@ -3,7 +3,6 @@ brute-force AP reference."""
 
 import hashlib
 import itertools
-import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -505,28 +504,6 @@ class TestMatchingEquivalence:
                     if t >= floor:
                         assert astuple(match_detections(preds, gts, t, plan)) == ref
 
-    def test_masked_matrix_gives_the_same_match(self):
-        """A class-masked IoU matrix passed in, built here from the scalar
-        form, gives the plan the one built from no matrix gives."""
-        rng = np.random.default_rng(2024)
-        for _ in range(250):
-            preds, gts = tricky_image(rng)
-            masked = np.array([[scalar_iou(p, g) if p.class_id == g.class_id else 0.0
-                                for g in gts] for p in preds]).reshape(len(preds), len(gts))
-            for t in self.THRESHOLDS:
-                plan = metrics.match_plan(preds, gts, t, masked)
-                assert plan == metrics.match_plan(preds, gts, t)
-                assert astuple(match_detections(preds, gts, t, plan)) \
-                    == astuple(match_detections(preds, gts, t))
-
-    def test_wrong_shape_matrix_raises(self):
-        preds = [BBox(0, 0, 4, 4, 0, score=0.9), BBox(1, 1, 5, 5, 0, score=0.5)]
-        gts = [BBox(0, 0, 4, 4, 0)]
-        for bad in (np.ones((1, 2)), np.ones((2,)), np.ones((2, 1, 1))):
-            with pytest.raises(ValueError, match=rf"{re.escape(str(bad.shape))}.*\(2, 1\)") as e:
-                metrics.match_plan(preds, gts, 0.5, bad)
-            assert "\n" not in str(e.value)
-
     def test_plan_refuses_a_low_threshold_and_other_boxes(self):
         preds = [BBox(0, 0, 4, 4, 0, score=0.9), BBox(1, 1, 5, 5, 0, score=0.5)]
         gts = [BBox(0, 0, 4, 4, 0)]
@@ -540,27 +517,6 @@ class TestMatchingEquivalence:
                 match_detections(*args, plan)
             assert "\n" not in str(e.value)
         assert match_detections(preds, gts, 0.5, plan).tp == [True, False]
-
-    def test_class_masked_matrix_is_bit_equal_to_the_pooled_one(self):
-        """Blocks of one iou call per class on both sides, scattered into
-        zeros, give the bits of the full matrix masked by class."""
-        rng = np.random.default_rng(61)
-        scenes = [tricky_image(rng) for _ in range(200)]
-        scenes += [(p[0], g[0]) for p, g in (crowded_scene(seed) for seed in (0, 1))]
-        # class 5 only among predictions, class 2 only among GTs
-        scenes.append(([BBox(0, 0, 4, 4, 5, score=0.9), BBox(1, 1, 5, 5, 1, score=0.5)],
-                       [BBox(0, 0, 4, 4, 2), BBox(1, 1, 5, 6, 1), BBox(0, 0, 4, 4, 2)]))
-        one_sided = 0
-        for preds, gts in scenes:
-            pc, gc = {p.class_id for p in preds}, {g.class_id for g in gts}
-            one_sided += bool(pc ^ gc)
-            same_class = (np.array([p.class_id for p in preds])[:, None]
-                          == np.array([g.class_id for g in gts])[None, :])
-            pooled = np.where(same_class, iou(preds, gts), 0.0).reshape(len(preds), len(gts))
-            blocks = metrics._class_masked_iou(preds, gts)
-            assert blocks.shape == pooled.shape and blocks.dtype == pooled.dtype
-            assert blocks.tobytes() == pooled.tobytes()
-        assert one_sided > 50
 
     @staticmethod
     def _count_calls(monkeypatch, name):
@@ -584,9 +540,9 @@ class TestMatchingEquivalence:
         self._count_calls(monkeypatch, "iou")
 
     def test_one_match_plan_per_class_and_image(self, monkeypatch):
-        """One match plan (floor 0.5) per class and image for all of evaluate();
+        """One class plan (floor 0.5) per class and image for all of evaluate();
         the pooled P/R plans are assembled from them, not built."""
-        self._count_calls(monkeypatch, "match_plan")
+        self._count_calls(monkeypatch, "_class_plan")
 
     def test_pooled_plans_equal_match_plan(self, monkeypatch):
         """The P/R plans evaluate() assembles from the class plans are == to

@@ -1,13 +1,15 @@
-"""The Module protocol: parameters, named tensors and zero_grad derived from
-a layer's attributes in assignment order, pinned to the checkpoint layout."""
+"""The Module protocol: parameters, named tensors, zero_grad and cast derived
+from a layer's attributes in assignment order, pinned to the checkpoint layout."""
 
 import hashlib
+import inspect
 
 import numpy as np
 
+from moonnet import attention, backbone, train
 from moonnet.config import ExperimentConfig
-from moonnet.tensor import Module, Param
-from moonnet.train import PatchModel, SyntheticPatchTask
+from moonnet.tensor import Buffer, Module, Param, Tensor4
+from moonnet.train import SGD, PatchModel, SyntheticPatchTask, bce_with_logits
 
 
 def test_members_follow_assignment_order():
@@ -112,3 +114,50 @@ def test_only_training_forwards_keep_a_tape():
     assert all(m._tape is not None for m in taped)
     model.forward(x, training=False)
     assert all(m._tape is None for m in taped)
+
+
+def test_no_layer_writes_a_protocol_method():
+    layers = [cls for mod in (attention, backbone, train)
+              for _, cls in inspect.getmembers(mod, inspect.isclass)
+              if issubclass(cls, Module) and cls is not Module]
+    assert {cls.__name__ for cls in layers} >= {
+        "ConvBlock", "Bottleneck", "C2f", "Stage", "Backbone", "SEBlock", "CBAMBlock",
+        "PatchModel"}
+    for cls in layers:
+        assert not {"parameters", "named_tensors", "zero_grad", "cast"} & set(vars(cls)), cls
+
+
+def test_cast_recasts_every_tensor_and_keeps_the_layout():
+    model = PatchModel(ExperimentConfig())
+    before = [(n, a.copy()) for n, a in model.named_tensors()]
+    param_names = [p.name for p in model.parameters()]
+    assert model.cast(np.float64) is model
+    after = model.named_tensors()
+    assert [n for n, _ in after] == [n for n, _ in before]
+    for (_, a), (_, b) in zip(before, after):
+        assert a.dtype == np.float32 and b.dtype == np.float64
+        assert np.array_equal(b, a.astype(np.float64))
+    assert [p.name for p in model.parameters()] == param_names and len(param_names) == 89
+    # the cast model trains in float64, buffers included
+    x, labels, _ = SyntheticPatchTask(64).batch([0, 1])
+    logits = model.forward(Tensor4(x.values.astype(np.float64)), training=True)
+    model.backward(bce_with_logits(logits, labels)[1])
+    assert logits.dtype == np.float64
+    assert all(a.dtype == np.float64 for _, a in model.named_tensors())
+    assert all(p.grad.dtype == np.float64 for p in model.parameters())
+
+
+def test_buffers_get_no_gradient_and_no_update():
+    model = PatchModel(ExperimentConfig())
+    buffers = [t for t in model._tensors() if isinstance(t, Buffer)]
+    assert len(buffers) == 131 - 89
+    opt = SGD(model.parameters(), lr=0.1)
+    assert not any(isinstance(p, Buffer) for p in opt.params)
+    x, labels, _ = SyntheticPatchTask(64).batch([0, 1])
+    logits = model.forward(x, training=True)
+    stats = [b.value.copy() for b in buffers]  # the running statistics this forward set
+    opt.zero_grad()
+    model.backward(bce_with_logits(logits, labels)[1])
+    opt.step()
+    assert all(b.grad is None for b in buffers)
+    assert all(np.array_equal(b.value, v) for b, v in zip(buffers, stats))

@@ -228,6 +228,17 @@ class TestTrainLoop:
         assert result.steps_run < 400
         assert result.final_accuracy >= 0.95
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), 1.5, 0.0, -1.0])
+    def test_target_accuracy_outside_unit_interval_raises(self, target, monkeypatch):
+        import moonnet.train as mtrain
+
+        monkeypatch.setattr(mtrain, "PatchModel", lambda *a: pytest.fail("built a model"))
+        with pytest.raises(ConfigError, match=r"target accuracy must be in \(0, 1\]"):
+            train(tiny_cfg(), target_accuracy=target)
+
+    def test_target_accuracy_one_is_allowed(self):
+        assert train(tiny_cfg(epochs=1, steps_per_epoch=2), target_accuracy=1.0).steps_run == 2
+
     def test_fixed_batch_loss_strictly_decreases(self):
         cfg = tiny_cfg(epochs=1, steps_per_epoch=30, lr=0.005, momentum=0.0)
         result = train(cfg, fixed_batch=True)
@@ -494,8 +505,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv, names", [(["sweep", "--sizes", "64,x"], "--sizes"),
-                                             (["augment-preview", "--size", "50"], "got 50")])
+    @pytest.mark.parametrize("argv, names", [
+        (["sweep", "--sizes", "64,x"], "--sizes"),
+        (["augment-preview", "--size", "50"], "got 50"),
+        (["sweep", "--sizes", "64", "--size", "96"], "--sizes"),
+        (["sweep", "--sizes", "64", "--input-size", "96"], "--sizes"),
+        *[(["train", "--epochs", "1", "--steps-per-epoch", "30", "--target-accuracy", v],
+           f"got {v}") for v in ("nan", "1.5", "-1", "0", "inf")]])
     def test_rejected_flags_exit_one(self, argv, names, capsys):
         rc = cli_main(argv)
         assert rc == 1
