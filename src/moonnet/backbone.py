@@ -109,9 +109,9 @@ def build_design(design_id: int, width_multiplier: float = 1.0,
     default to the base ladder, designs 0 and 4-6 to the doubled one.
     """
     if design_id not in DESIGN_ATTENTION:
-        raise ConfigError(f"unknown design id {design_id}; expected 0..6")
+        raise ConfigError(f"design_id must be in 0..6, got {design_id}")
     if not 0.0 < width_multiplier <= 1.0:
-        raise ConfigError(f"width multiplier must be in (0, 1], got {width_multiplier}")
+        raise ConfigError(f"width must be in (0, 1], got {width_multiplier}")
     if ladder is None:
         ladder = BASE_LADDER if design_id in (1, 2, 3) else DOUBLED_LADDER
     kinds = DESIGN_ATTENTION[design_id]
@@ -120,6 +120,10 @@ def build_design(design_id: int, width_multiplier: float = 1.0,
                   has_c2f=(i > 0))
         for i, (c, kind) in enumerate(zip(ladder, kinds))
     ]
+    for i, spec in enumerate(stages):
+        if spec.has_c2f and spec.out_channels % 2:
+            raise ConfigError(f"width {width_multiplier} gives design {design_id} stage {i} "
+                              f"{spec.out_channels} channels; its C2f block needs an even count")
     return BackboneDesign(stages=stages, gate=gate, reduction=reduction,
                           spatial_kernel=spatial_kernel)
 
@@ -193,8 +197,6 @@ class C2f(Module):
     run one bottleneck on the second half, concat, 1x1 conv."""
 
     def __init__(self, channels, rng, name):
-        if channels % 2:
-            raise ConfigError(f"C2f needs an even channel count, got {channels}")
         self.channels = channels
         self.cv1 = ConvBlock(channels, channels, 1, rng, f"{name}/cv1")
         self.block = Bottleneck(channels // 2, rng, f"{name}/b0")

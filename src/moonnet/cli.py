@@ -27,8 +27,8 @@ from .train import (
     SyntheticPatchTask,
     TrainingDiverged,
     evaluate_model,
-    format_sweep_table,
-    resolution_sweep,
+    sweep,
+    sweep_table,
     train,
 )
 
@@ -48,15 +48,18 @@ def _add_config_flags(p: argparse.ArgumentParser):
                        dest=f.name, choices=_choices(f.type))
 
 
-def _build_config(args) -> ExperimentConfig:
+def _build_config(args, axes=()) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config is not None:
         cfg = load_config_file(args.config, cfg)
     for f in dataclasses.fields(cfg):
         text = getattr(args, f.name)
+        if text is not None and f.name in axes:
+            flags = "/".join(["--" + f.name.replace("_", "-"), *_ALIASES.get(f.name, [])])
+            raise ConfigError(f"{f.name!r} is set by both --over and {flags}; give it once")
         if text is not None:
             set_field(cfg, f.name, text)
-    return cfg.validate()
+    return cfg
 
 
 def _seed(args) -> int:
@@ -152,17 +155,12 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.input_size is not None:
-        raise ConfigError("sweep trains at each --sizes entry; give the sizes there, "
-                          "not with --input-size or --size")
-    cfg = _build_config(args)
-    try:
-        sizes = [int(s) for s in args.sizes.split(",")]
-    except ValueError:
-        raise ConfigError(f"--sizes must be comma-separated integers, "
-                          f"got {args.sizes!r}") from None
-    rows = resolution_sweep(cfg, sizes)
-    print(format_sweep_table(rows))
+    axes = {}
+    for key, _, values in (spec.partition("=") for spec in args.over):
+        if key in axes:
+            raise ConfigError(f"--over names {key!r} twice")
+        axes[key] = values.split(",")
+    print(sweep_table(sweep(_build_config(args, axes), axes)))
     return 0
 
 
@@ -201,9 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("annotations", type=Path)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("sweep", help="train/evaluate across input sizes")
+    p = sub.add_parser("sweep", help="train and evaluate every cell of a grid of config values")
     _add_config_flags(p)
-    p.add_argument("--sizes", default="64,96", help="comma-separated input sizes")
+    p.add_argument("--over", action="append", default=[], metavar="KEY=V1,V2",
+                   help="one axis of the grid: a config key and its values (repeatable)")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .attention import GateKind
 from .augment import AugmentPackage
-from .backbone import ConfigError
+from .backbone import ConfigError, build_design
 
 __all__ = ["ExperimentConfig", "CODECS", "set_field", "parse_config_text",
            "load_config_file", "ConfigError"]
@@ -50,10 +50,7 @@ class ExperimentConfig:
         if self.batch * (self.input_size // 32) ** 2 < 2:
             raise ConfigError(f"batch * (input_size / 32)^2 must be >= 2, got {self.batch} "
                               f"* ({self.input_size} / 32)^2")
-        if not 0 <= self.design_id <= 6:
-            raise ConfigError(f"design_id must be in 0..6, got {self.design_id}")
-        if not 0.0 < self.width <= 1.0:
-            raise ConfigError(f"width must be in (0, 1], got {self.width}")
+        build_design(self.design_id, self.width, self.gate)  # the id, width and channels
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 1 or self.steps_per_epoch < 1:

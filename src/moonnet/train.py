@@ -1,5 +1,5 @@
 """Training harness: SGD with momentum, the synthetic tiny-patch task, the
-patch-presence model (backbone + 1x1 head), and the resolution sweep.
+patch-presence model (backbone + 1x1 head), and the sweep over config keys.
 
 The synthetic task stands in for aerial tiny-object data at desk scale:
 bright 3-7 px patches on textured noise, one label per 32x32 cell of the
@@ -8,6 +8,7 @@ image, matching the backbone's final-stage grid.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from .augment import AugmentPackage, BBox, LabeledImage, apply_package
 from .backbone import Backbone, ConfigError, build_design
 from .checkpoint import (META_PREFIX, CheckpointError, bytes_to_tensor, load_checkpoint,
                          save_checkpoint, tensor_to_bytes)
-from .config import ExperimentConfig, parse_config_text
+from .config import ExperimentConfig, parse_config_text, set_field
 from .metrics import EvalResult, evaluate
 from .tensor import Module, Param, Tensor4, clipped_sigmoid, conv2d, uniform_init
 
@@ -31,7 +32,8 @@ __all__ = [
     "TrainResult",
     "train",
     "evaluate_model",
-    "resolution_sweep",
+    "sweep",
+    "sweep_table",
     "save_model_checkpoint",
     "load_model_checkpoint",
 ]
@@ -322,7 +324,7 @@ def load_model_checkpoint(path) -> tuple[PatchModel, ExperimentConfig, dict]:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and the resolution sweep
+# evaluation and the sweep
 # ---------------------------------------------------------------------------
 
 def _refine_cell_box(brightness: np.ndarray, gy: int, gx: int, cell: int) -> BBox:
@@ -378,31 +380,44 @@ def evaluate_model(model: PatchModel, task: SyntheticPatchTask, n_images: int = 
     return result, correct / total
 
 
-def resolution_sweep(base_cfg: ExperimentConfig, sizes: list[int],
-                     n_eval_images: int = 16) -> list[dict]:
-    """Train and evaluate one model per input size; returns table rows with
-    the full metric block per size (protocol mirror of the published
-    resolution comparison, not its GPU-scale numbers).  Every size is
-    validated before the first one trains."""
-    cfgs = [replace(base_cfg, input_size=size).validate() for size in sizes]
+SWEEP_EVAL_IMAGES = 16
+_SWEEP_METRICS = ("final_loss", "accuracy", "ap50", "ap75", "ap", "recall", "precision")
+
+
+def sweep(base_cfg: ExperimentConfig, axes: dict[str, list[str]]) -> list[dict]:
+    """Train and evaluate each cell of the product of ``axes`` (config key ->
+    value texts), in ``axes`` order, after validating every cell."""
+    cells = []
+    for texts in itertools.product(*axes.values()):
+        cfg = replace(base_cfg)
+        for key, text in zip(axes, texts):
+            set_field(cfg, key, text)
+        cells.append((dict(zip(axes, texts)), cfg.validate()))
+    if len({cfg.to_text() for _, cfg in cells}) < len(cells):
+        raise ConfigError("two cells of the sweep give the same config")
     rows = []
-    for cfg in cfgs:
-        result = train(cfg, out_dir=None)
-        task = SyntheticPatchTask(cfg.input_size, AugmentPackage.VER1)
-        metrics, acc = evaluate_model(result.model, task, n_images=n_eval_images)
-        rows.append({"size": cfg.input_size, "steps": result.steps_run,
-                     "final_loss": result.losses[-1], "accuracy": acc, **metrics.as_dict()})
+    for point, cfg in cells:
+        result = train(cfg)
+        metrics, acc = evaluate_model(result.model, SyntheticPatchTask(cfg.input_size),
+                                      n_images=SWEEP_EVAL_IMAGES)
+        rows.append({**point, "steps": result.steps_run, "final_loss": result.losses[-1],
+                     "accuracy": acc, **metrics.as_dict()})
     return rows
 
 
-def format_sweep_table(rows: list[dict]) -> str:
-    cols = ["size", "steps", "final_loss", "accuracy", "ap50", "ap75", "ap",
-            "recall", "precision"]
-    lines = [" ".join(f"{c:>10s}" for c in cols)]
+def sweep_table(rows: list[dict]) -> str:
+    """One line per cell; rows that differ only in ``seed`` share a line whose
+    numbers are the mean ± sample std (ddof=1) over those seeds."""
+    seeds = {r.get("seed") for r in rows}
+    keys = [k for k in rows[0] if k not in _SWEEP_METRICS and (k != "seed" or len(seeds) == 1)]
+    groups: dict[tuple, list] = {}
     for r in rows:
-        cells = []
-        for c in cols:
-            v = r[c]
-            cells.append(f"{v:10d}" if isinstance(v, int) else f"{v:10.4f}")
-        lines.append(" ".join(cells))
+        groups.setdefault(tuple(r[k] for k in keys), []).append([r[c] for c in _SWEEP_METRICS])
+    lines = [f"eval task: {SWEEP_EVAL_IMAGES} Ver1 images at input_size; seeds: mean±std (ddof=1)",
+             " ".join(f"{c:>15s}" for c in keys + list(_SWEEP_METRICS))]
+    for key, runs in groups.items():
+        v = np.array(runs)
+        stats = (map("{:.4f}±{:.4f}".format, v.mean(0), v.std(0, ddof=1)) if len(v) > 1
+                 else map("{:.4f}".format, v[0]))
+        lines.append(" ".join(f"{c:>15}" for c in (*key, *stats)))
     return "\n".join(lines)

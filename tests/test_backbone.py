@@ -62,8 +62,18 @@ class TestBuildDesign:
             build_design(5, 0.0)
 
     def test_channel_rounding_floor_at_one(self):
-        d = build_design(1, 0.01, ladder=(64, 128, 256, 512, 1024))
-        assert d.stage_channels[0] == 1
+        """Stage 0 has no C2f block, so it may round down to one channel."""
+        d = build_design(1, 0.01, ladder=(64, 200, 400, 600, 800))
+        assert d.stage_channels == (1, 2, 4, 6, 8)
+
+    @pytest.mark.parametrize("design_id, width, message", [
+        (1, 0.01, "width 0.01 gives design 1 stage 1 1 channels"),
+        (5, 0.3, "width 0.3 gives design 5 stage 1 77 channels"),
+        (0, 0.1, "width 0.1 gives design 0 stage 2 51 channels")])
+    def test_odd_c2f_channels_rejected(self, design_id, width, message):
+        """A C2f block splits its channels in half; the stage 0 conv has none."""
+        with pytest.raises(ConfigError, match=message):
+            build_design(design_id, width)
 
 
 class TestBackboneForward:

@@ -37,6 +37,20 @@ class TestRelErr:
         assert gc.rel_err(np.zeros(1), np.zeros(1)) == 0.0
 
 
+class TestCheckSites:
+    @pytest.mark.parametrize("slope, passed", [(1.0 + 2e-6, True), (1.0 + 1e-3, False)])
+    def test_decided_rel_err_skips_floored_elements(self, slope, passed):
+        """Element 0 is off by 100% relative but passes on the absolute floor;
+        only element 1's error is decided by the relative tolerance."""
+        theta = np.array([1.0, 1.0])
+        (r,) = gc.check_sites("linear", lambda: float(theta[1]),
+                              {"theta": theta}, {"theta": np.array([5e-8, slope])})
+        assert r.passed is passed
+        assert r.max_rel_err == 1.0
+        assert r.decided_rel_err == pytest.approx(slope - 1.0, rel=1e-3)
+        assert "decided" in gc.format_reports([r]).splitlines()[0]
+
+
 class TestOpSuite:
     def test_all_primitive_ops_pass(self):
         reports = gc.check_op_suite(seed=0)

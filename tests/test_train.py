@@ -29,9 +29,10 @@ from moonnet.train import (
     evaluate_model,
     load_model_checkpoint,
     model_detections,
-    resolution_sweep,
     save_model_checkpoint,
     sgd_step,
+    sweep,
+    sweep_table,
     train,
 )
 
@@ -412,11 +413,71 @@ class TestEvaluateModel:
             assert box.score == float(clipped_sigmoid(logits[0, 0])[gy, gx])
 
     def test_sweep_rows_structure(self):
-        rows = resolution_sweep(tiny_cfg(epochs=1, steps_per_epoch=2), [64],
-                                n_eval_images=2)
+        rows = sweep(tiny_cfg(epochs=1, steps_per_epoch=2), {"input_size": ["64"]})
         assert len(rows) == 1
-        assert {"size", "ap50", "ap75", "ap", "recall", "precision",
-                "accuracy"} <= set(rows[0])
+        assert list(rows[0]) == ["input_size", "steps", "final_loss", "accuracy", "ap50",
+                                 "ap75", "ap", "recall", "precision"]
+        assert rows[0]["input_size"] == "64" and rows[0]["steps"] == 2
+
+
+class TestSweep:
+    def test_one_cell_row_is_train_then_evaluate_model(self):
+        """Same bits as calling train() and evaluate_model on the cell's config."""
+        base = tiny_cfg(epochs=1, steps_per_epoch=3)
+        (row,) = sweep(base, {"gate": ["sigmoid"], "seed": ["2"]})
+        cfg = dataclasses.replace(base, gate=GateKind.SIGMOID_ORIGINAL, seed=2)
+        result = train(cfg)
+        metrics, acc = evaluate_model(result.model, SyntheticPatchTask(64), n_images=16)
+        assert row == {"gate": "sigmoid", "seed": "2", "steps": 3,
+                       "final_loss": result.losses[-1], "accuracy": acc, **metrics.as_dict()}
+
+    def test_seed_rows_print_mean_and_std(self):
+        rows = sweep(tiny_cfg(epochs=1, steps_per_epoch=2),
+                     {"design_id": ["0", "5"], "seed": ["0", "1"]})
+        header, columns, *lines = sweep_table(rows).splitlines()
+        assert "eval task: 16 Ver1 images" in header and "mean±std (ddof=1)" in header
+        assert columns.split() == ["design_id", "steps", "final_loss", "accuracy", "ap50",
+                                   "ap75", "ap", "recall", "precision"]
+        assert len(lines) == 2
+        for line, design in zip(lines, ("0", "5")):
+            runs = [r for r in rows if r["design_id"] == design]
+            assert [r["seed"] for r in runs] == ["0", "1"]
+            expected = [f"{np.mean(v):.4f}±{np.std(v, ddof=1):.4f}" for v in
+                        ([r[c] for r in runs] for c in columns.split()[2:])]
+            assert line.split() == [design, "2", *expected]
+
+    def test_one_seed_prints_plain_numbers(self):
+        rows = sweep(tiny_cfg(epochs=1, steps_per_epoch=2), {"seed": ["4"]})
+        _, columns, line = sweep_table(rows).splitlines()
+        assert columns.split()[:2] == ["seed", "steps"]
+        assert line.split() == ["4", "2", *(f"{rows[0][c]:.4f}" for c in columns.split()[2:])]
+
+    def test_grid_is_the_product_in_flag_order(self, capsys):
+        rc = cli_main(["sweep", "--over", "gate=sigmoid,residual-tanh",
+                       "--over", "design_id=0,5", "--width", "0.125", "--batch", "2",
+                       "--epochs", "1", "--steps-per-epoch", "1"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split()[:2] == ["gate", "design_id"]
+        assert [tuple(line.split()[:2]) for line in lines[2:]] == [
+            ("sigmoid", "0"), ("sigmoid", "5"), ("residual-tanh", "0"), ("residual-tanh", "5")]
+
+    def test_cell_that_cannot_build_stops_before_training(self, monkeypatch):
+        """Width 0.3 gives design 5 a 77-channel C2f stage: the second cell
+        fails validation, so the first cell never trains."""
+        import moonnet.train as mtrain
+
+        monkeypatch.setattr(mtrain, "train", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ConfigError, match="width 0.3 gives design 5 stage 1"):
+            sweep(tiny_cfg(), {"width": ["0.25", "0.3"]})
+
+    def test_config_file_is_the_base(self, tmp_path, capsys):
+        """An --over key may also be in the --config file, which it overrides."""
+        (tmp_path / "c.cfg").write_text("input_size=50\nwidth=0.125\nbatch=2\n")
+        rc = cli_main(["sweep", "--config", str(tmp_path / "c.cfg"), "--over",
+                       "input_size=64", "--epochs", "1", "--steps-per-epoch", "1"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[2].split()[:2] == ["64", "1"]
 
 
 class TestConfig:
@@ -460,10 +521,27 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [dict(input_size=50), dict(lr=-1.0),
                                     dict(design_id=9), dict(width=0.0),
                                     dict(momentum=1.0), dict(batch=0),
-                                    dict(input_size=-32, batch=2), dict(seed=-1)])
+                                    dict(input_size=-32, batch=2), dict(seed=-1),
+                                    dict(width=0.3), dict(design_id=0, width=0.1),
+                                    dict(width=float("nan"))])
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):
             dataclasses.replace(ExperimentConfig(), **kw).validate()
+
+    def test_validate_passes_only_configs_that_build(self):
+        """Every design and width from 0.05 to 1.0: a config that validates
+        builds a model whose C2f blocks split evenly; any other is rejected
+        naming the width."""
+        for design_id in range(7):
+            for width in np.round(np.arange(0.05, 1.0001, 0.05), 2):
+                cfg = ExperimentConfig(design_id=design_id, width=float(width))
+                try:
+                    cfg.validate()
+                except ConfigError as e:
+                    assert str(e).startswith(f"width {width} gives design {design_id} stage")
+                    continue
+                stages = PatchModel(cfg, draw=False).backbone.stages
+                assert all(st.c2f is None or st.c2f.channels % 2 == 0 for st in stages)
 
     def test_default_text_pinned(self):
         assert ExperimentConfig().to_text() == (
@@ -478,7 +556,7 @@ class TestConfig:
 
         monkeypatch.setattr(mtrain, "train", lambda *a, **k: pytest.fail("trained"))
         with pytest.raises(ConfigError, match="input_size"):
-            resolution_sweep(tiny_cfg(), [64, 50])
+            sweep(tiny_cfg(), {"input_size": ["64", "50"]})
 
 
 class TestCli:
@@ -506,12 +584,21 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, names", [
-        (["sweep", "--sizes", "64,x"], "--sizes"),
+        (["sweep", "--over", "input_size=64,x"], "input_size"),
         (["augment-preview", "--size", "50"], "got 50"),
-        (["sweep", "--sizes", "64", "--size", "96"], "--sizes"),
-        (["sweep", "--sizes", "64", "--input-size", "96"], "--sizes"),
+        (["sweep", "--over", "input_size=64", "--size", "96"], "--over"),
+        (["sweep", "--over", "input_size=64", "--input-size", "96"], "--over"),
         *[(["train", "--epochs", "1", "--steps-per-epoch", "30", "--target-accuracy", v],
-           f"got {v}") for v in ("nan", "1.5", "-1", "0", "inf")]])
+           f"got {v}") for v in ("nan", "1.5", "-1", "0", "inf")],
+        (["sweep", "--over", "warp=1"], "unknown key 'warp'"),
+        (["sweep", "--over", "batch=2,"], "bad value for 'batch': ''"),
+        (["sweep", "--over", "batch="], "bad value for 'batch': ''"),
+        (["sweep", "--over", "batch"], "bad value for 'batch': ''"),
+        (["sweep", "--over", "seed=0", "--over", "seed=1"], "--over names 'seed' twice"),
+        (["sweep", "--over", "seed=0,0"], "the same config"),
+        (["sweep", "--over", "design_id=5,05"], "the same config"),
+        (["sweep", "--over", "design_id=0,5", "--design", "5"], "--design-id/--design"),
+        (["sweep", "--over", "lr=0.1", "--lr", "0.2"], "'lr' is set by both --over and --lr")])
     def test_rejected_flags_exit_one(self, argv, names, capsys):
         rc = cli_main(argv)
         assert rc == 1
