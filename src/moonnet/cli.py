@@ -79,12 +79,11 @@ def _load_detection_dir(path: Path, class_ids: dict[str, int]):
 
 def cmd_train(args) -> int:
     cfg = _build_config(args)
-    result = train(cfg, out_dir=args.out,
-                   target_accuracy=args.target_accuracy)
-    print(f"trained {result.steps_run} steps; final loss "
-          f"{result.losses[-1]:.4f}, trailing accuracy {result.final_accuracy:.4f}")
-    if result.checkpoint_path:
-        print(f"checkpoint: {result.checkpoint_path}")
+    state = train(cfg, out_dir=args.out, target_accuracy=args.target_accuracy)
+    print(f"trained {state.steps_run} steps; final loss "
+          f"{state.losses[-1]:.4f}, trailing accuracy {state.final_accuracy:.4f}")
+    if args.out is not None:
+        print(f"checkpoint: {args.out / 'final.ckpt'}")
     return 0
 
 

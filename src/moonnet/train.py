@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .augment import AugmentPackage, BBox, LabeledImage, apply_package
-from .backbone import Backbone, ConfigError, build_design
+from .backbone import DESIGN_ATTENTION, AttentionKind, Backbone, ConfigError, build_design
 from .checkpoint import (META_PREFIX, CheckpointError, bytes_to_tensor, load_checkpoint,
                          save_checkpoint, tensor_to_bytes)
 from .config import ExperimentConfig, parse_config_text, set_field
@@ -29,7 +29,7 @@ __all__ = [
     "SyntheticPatchTask",
     "PatchModel",
     "TrainingDiverged",
-    "TrainResult",
+    "TrainState",
     "train",
     "evaluate_model",
     "sweep",
@@ -186,85 +186,92 @@ def bce_with_logits(logits: np.ndarray, labels: np.ndarray):
 # training
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TrainResult:
-    losses: list[float]
-    accuracies: list[float]
-    steps_run: int
-    final_accuracy: float
-    model: "PatchModel | None" = None
-    checkpoint_path: Path | None = None
+def _cell_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of cells whose presence logit (> 0) agrees with the label."""
+    return float(np.mean((logits > 0.0) == (labels > 0.5)))
 
 
-def _batch_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    pred = logits > 0.0
-    return float((pred == (labels > 0.5)).mean())
+@dataclass(eq=False)
+class TrainState:
+    """One run's state, built from ``cfg``: model, optimizer, batch-seed stream, and
+    each step's loss and cell accuracy.  With ``keep_best`` (a run that writes
+    ``best.ckpt``) also the lowest loss and a copy of the weights that gave it."""
+    cfg: ExperimentConfig
+    keep_best: bool = False
+    model: PatchModel = field(init=False)
+    opt: SGD = field(init=False)
+    data_rng: np.random.Generator = field(init=False)
+    losses: list[float] = field(init=False, default_factory=list)
+    accuracies: list[float] = field(init=False, default_factory=list)
+    best_loss: float = field(init=False, default=np.inf)
+    best_tensors: list[tuple[str, np.ndarray]] | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        self.model = PatchModel(self.cfg)
+        self.opt = SGD(self.model.parameters(), self.cfg.lr, self.cfg.momentum)
+        self.data_rng = np.random.default_rng([self.cfg.seed, 2])
+
+    @property
+    def steps_run(self) -> int:
+        return len(self.losses)
+
+    @property
+    def final_accuracy(self) -> float:  # the mean over the last 20 steps
+        return float(np.mean(self.accuracies[-20:]))
+
+    def step(self, x: Tensor4, labels: np.ndarray):
+        """One SGD step on the batch, recording its loss and cell accuracy."""
+        logits = self.model.forward(x, training=True)
+        loss, gl = bce_with_logits(logits, labels)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(f"non-finite loss at step {self.steps_run}")
+        self.losses.append(loss)
+        self.accuracies.append(_cell_accuracy(logits, labels))
+        # the weights that gave this loss, before the update moves them
+        if self.keep_best and loss < self.best_loss:
+            self.best_loss = loss
+            self.best_tensors = [(n, a.copy()) for n, a in self.model.named_tensors()]
+        self.opt.zero_grad()
+        self.model.backward(gl)
+        self.opt.step()
+
+    def save(self, out_dir: Path):
+        """Write ``final.ckpt``, ``best.ckpt`` (if a best was kept) and ``train_log.txt``."""
+        save_model_checkpoint(self.model, self.cfg, out_dir / "final.ckpt", rng=self.data_rng)
+        if self.best_tensors is not None:
+            save_checkpoint(_meta_tensors(self.cfg, self.data_rng) + self.best_tensors,
+                            out_dir / "best.ckpt")
+        log = "\n".join(f"{i} {l:.6f} {a:.4f}"
+                        for i, (l, a) in enumerate(zip(self.losses, self.accuracies)))
+        (out_dir / "train_log.txt").write_text("step loss accuracy\n" + log + "\n")
 
 
-def train(cfg: ExperimentConfig, out_dir=None, target_accuracy: float | None = None,
-          fixed_batch: bool = False) -> TrainResult:
+def train(cfg: ExperimentConfig, out_dir=None, target_accuracy: float | None = None) -> TrainState:
     """Train a patch model; fully deterministic under (config, seed).
 
     ``target_accuracy``, in (0, 1], stops early once the trailing-20-step mean
-    accuracy reaches the target.  ``fixed_batch`` trains full-batch on one fixed
-    batch (deterministic gradient descent, used by the smoke property tests).
+    accuracy reaches the target.  With ``out_dir`` the directory is made
+    before the first step and the run's files are written there at the end.
     """
     cfg.validate()
     # a negated range test, so that nan fails it too
     if target_accuracy is not None and not 0.0 < target_accuracy <= 1.0:
         raise ConfigError(f"target accuracy must be in (0, 1], got {target_accuracy}")
-    task = SyntheticPatchTask(cfg.input_size, cfg.augment)
-    model = PatchModel(cfg)
-    opt = SGD(model.parameters(), cfg.lr, cfg.momentum)
-    total_steps = cfg.epochs * cfg.steps_per_epoch
-    data_rng = np.random.default_rng([cfg.seed, 2])
-
-    losses, accs = [], []
-    best_loss = np.inf
-    best_state = None
-    out_dir = Path(out_dir) if out_dir is not None else None
-    ckpt_path = best_path = None
     if out_dir is not None:
+        out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        ckpt_path = out_dir / "final.ckpt"
-        best_path = out_dir / "best.ckpt"
-
-    if fixed_batch:
-        fixed = task.batch(range(cfg.batch))
-
-    for step in range(total_steps):
-        if fixed_batch:
-            x, labels, _ = fixed
-        else:
-            seeds = data_rng.integers(0, 2 ** 31, size=cfg.batch)
-            x, labels, _ = task.batch([int(s) for s in seeds])
-        logits = model.forward(x, training=True)
-        loss, gl = bce_with_logits(logits, labels)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(f"non-finite loss at step {step}")
-        losses.append(loss)
-        accs.append(_batch_accuracy(logits, labels))
-        # the weights that gave this loss, before the update moves them
-        if loss < best_loss and best_path is not None:
-            best_loss = loss
-            best_state = [(n, a.copy()) for n, a in model.named_tensors()]
-        opt.zero_grad()
-        model.backward(gl)
-        opt.step()
-        if target_accuracy is not None and len(accs) >= 20 \
-                and float(np.mean(accs[-20:])) >= target_accuracy:
+    task = SyntheticPatchTask(cfg.input_size, cfg.augment)
+    state = TrainState(cfg, keep_best=out_dir is not None)
+    for _ in range(cfg.epochs * cfg.steps_per_epoch):
+        seeds = state.data_rng.integers(0, 2 ** 31, size=cfg.batch)
+        x, labels, _ = task.batch([int(s) for s in seeds])
+        state.step(x, labels)
+        if target_accuracy is not None and state.steps_run >= 20 \
+                and state.final_accuracy >= target_accuracy:
             break
-
-    final_acc = float(np.mean(accs[-20:]))
     if out_dir is not None:
-        save_model_checkpoint(model, cfg, ckpt_path, rng=data_rng)
-        if best_state is not None:
-            save_checkpoint(_meta_tensors(cfg, data_rng) + best_state, best_path)
-        log = "\n".join(f"{i} {l:.6f} {a:.4f}"
-                        for i, (l, a) in enumerate(zip(losses, accs)))
-        (out_dir / "train_log.txt").write_text("step loss accuracy\n" + log + "\n")
-    return TrainResult(losses=losses, accuracies=accs, steps_run=len(losses),
-                       final_accuracy=final_acc, model=model, checkpoint_path=ckpt_path)
+        state.save(out_dir)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +372,7 @@ def evaluate_model(model: PatchModel, task: SyntheticPatchTask, n_images: int = 
     Eval-mode batchnorm uses running statistics, so the images of one forward
     do not interact; each image is scored from its own slice of the logits."""
     per_forward = max(1, EVAL_PIXELS_PER_FORWARD // task.size ** 2)
-    preds_by_image, gts_by_image = [], []
-    correct = total = 0
+    preds_by_image, gts_by_image, logits_and_labels = [], [], []
     for start in range(seed_base, seed_base + n_images, per_forward):
         stop = min(start + per_forward, seed_base + n_images)
         x, labels, samples = task.batch(range(start, stop))
@@ -374,10 +380,9 @@ def evaluate_model(model: PatchModel, task: SyntheticPatchTask, n_images: int = 
         for i, li in enumerate(samples):
             gts_by_image.append(li.boxes)
             preds_by_image.append(model_detections(logits[i:i + 1], task, li))
-        correct += ((logits > 0) == (labels > 0.5)).sum()
-        total += labels.size
+        logits_and_labels.append((logits, labels))
     result = evaluate(preds_by_image, gts_by_image, num_classes=1)
-    return result, correct / total
+    return result, _cell_accuracy(*map(np.concatenate, zip(*logits_and_labels)))
 
 
 SWEEP_EVAL_IMAGES = 16
@@ -395,13 +400,18 @@ def sweep(base_cfg: ExperimentConfig, axes: dict[str, list[str]]) -> list[dict]:
         cells.append((dict(zip(axes, texts)), cfg.validate()))
     if len({cfg.to_text() for _, cfg in cells}) < len(cells):
         raise ConfigError("two cells of the sweep give the same config")
-    rows = []
+    rows, runs = [], {}
     for point, cfg in cells:
-        result = train(cfg)
-        metrics, acc = evaluate_model(result.model, SyntheticPatchTask(cfg.input_size),
-                                      n_images=SWEEP_EVAL_IMAGES)
-        rows.append({**point, "steps": result.steps_run, "final_loss": result.losses[-1],
-                     "accuracy": acc, **metrics.as_dict()})
+        # the gate acts only in attention blocks, so a design without any trains once
+        gate_free = set(DESIGN_ATTENTION[cfg.design_id]) == {AttentionKind.NONE}
+        key = replace(cfg, gate=ExperimentConfig.gate).to_text() if gate_free else cfg.to_text()
+        if key not in runs:
+            state = train(cfg)
+            metrics, acc = evaluate_model(state.model, SyntheticPatchTask(cfg.input_size),
+                                          n_images=SWEEP_EVAL_IMAGES)
+            runs[key] = {"steps": state.steps_run, "final_loss": state.losses[-1],
+                         "accuracy": acc, **metrics.as_dict()}
+        rows.append({**point, **runs[key]})
     return rows
 
 

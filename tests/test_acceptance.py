@@ -35,6 +35,7 @@ from moonnet.train import (
 )
 
 from test_metrics import brute_force_ap, random_scene
+from test_train import fixed_batch_run
 
 SHAPES = [(1, 8, 4, 4), (2, 16, 8, 8), (1, 64, 2, 2)]
 
@@ -214,7 +215,7 @@ def test_criterion_9_training_smoke():
         mcfg = ExperimentConfig(design_id=design, width=0.125, epochs=1,
                                 steps_per_epoch=100, batch=2, lr=0.005,
                                 momentum=0.0, seed=0)
-        r = train(mcfg, fixed_batch=True)
+        r = fixed_batch_run(mcfg)
         monotone &= bool(np.all(np.diff(r.losses) < 0.0))
     elapsed = time.monotonic() - t0
     _report(9, "design 5 reaches 95% within 2000 steps; losses strictly decrease",

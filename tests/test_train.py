@@ -14,8 +14,8 @@ import pytest
 import moonnet
 from moonnet.attention import GateKind
 from moonnet.augment import AugmentPackage
-from moonnet.checkpoint import (CheckpointError, bytes_to_tensor, load_checkpoint,
-                                save_checkpoint)
+from moonnet.checkpoint import (META_PREFIX, CheckpointError, bytes_to_tensor,
+                                load_checkpoint, save_checkpoint)
 from moonnet.cli import main as cli_main
 from moonnet.config import ConfigError, ExperimentConfig, load_config_file, parse_config_text
 from moonnet.metrics import evaluate
@@ -25,6 +25,7 @@ from moonnet.train import (
     PatchModel,
     SGD,
     SyntheticPatchTask,
+    TrainState,
     bce_with_logits,
     evaluate_model,
     load_model_checkpoint,
@@ -42,6 +43,44 @@ def tiny_cfg(**kw):
                 steps_per_epoch=5, batch=2, lr=0.01, momentum=0.9, seed=0)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def fixed_batch_run(cfg, keep_best=False) -> TrainState:
+    """Every step of the run on one batch, the task's first: plain gradient
+    descent when the momentum is 0."""
+    state = TrainState(cfg, keep_best)
+    x, labels, _ = SyntheticPatchTask(cfg.input_size, cfg.augment).batch(range(cfg.batch))
+    for _ in range(cfg.epochs * cfg.steps_per_epoch):
+        state.step(x, labels)
+    return state
+
+
+def reference_run(cfg):
+    """train()'s loop written out with the library's parts: returns the
+    losses, the final model, and a copy of the weights that gave the lowest
+    loss, taken before that step's update."""
+    task = SyntheticPatchTask(cfg.input_size, cfg.augment)
+    model = PatchModel(cfg)
+    opt = SGD(model.parameters(), cfg.lr, cfg.momentum)
+    rng = np.random.default_rng([cfg.seed, 2])
+    losses, best = [], None
+    for _ in range(cfg.epochs * cfg.steps_per_epoch):
+        x, labels, _ = task.batch([int(s) for s in rng.integers(0, 2 ** 31, size=cfg.batch)])
+        logits = model.forward(x, training=True)
+        loss, g = bce_with_logits(logits, labels)
+        if not losses or loss < min(losses):
+            best = [(n, a.copy()) for n, a in model.named_tensors()]
+        losses.append(loss)
+        opt.zero_grad()
+        model.backward(g)
+        opt.step()
+    return losses, model, best
+
+
+def same_tensors(a, b):
+    """Two (name, array) lists hold the same names, dtypes, shapes and bytes."""
+    return [(n, x.dtype, x.shape, x.tobytes()) for n, x in a] == \
+        [(n, x.dtype, x.shape, x.tobytes()) for n, x in b]
 
 
 class TestSgdStep:
@@ -217,7 +256,8 @@ class TestTrainLoop:
 
     def test_best_checkpoint_holds_the_weights_of_the_best_loss(self, tmp_path):
         cfg = tiny_cfg(lr=0.005, momentum=0.0)
-        result = train(cfg, out_dir=tmp_path, fixed_batch=True)
+        result = fixed_batch_run(cfg, keep_best=True)
+        result.save(tmp_path)
         model, _, _ = load_model_checkpoint(tmp_path / "best.ckpt")
         x, labels, _ = SyntheticPatchTask(cfg.input_size).batch(range(cfg.batch))
         loss, _ = bce_with_logits(model.forward(x, training=True), labels)
@@ -242,9 +282,26 @@ class TestTrainLoop:
 
     def test_fixed_batch_loss_strictly_decreases(self):
         cfg = tiny_cfg(epochs=1, steps_per_epoch=30, lr=0.005, momentum=0.0)
-        result = train(cfg, fixed_batch=True)
+        result = fixed_batch_run(cfg)
         diffs = np.diff(result.losses)
         assert np.all(diffs < 0.0)
+
+    @pytest.mark.parametrize("augment", [AugmentPackage.VER1, AugmentPackage.VER3])
+    @pytest.mark.parametrize("gate", [GateKind.SIGMOID_ORIGINAL, GateKind.RESIDUAL_TANH])
+    @pytest.mark.parametrize("design_id", [0, 5])
+    def test_train_is_the_reference_loop(self, tmp_path, design_id, gate, augment):
+        """Same bits as the loop written out: every loss, every final tensor,
+        and best.ckpt's tensors against the loop's snapshot."""
+        cfg = tiny_cfg(design_id=design_id, gate=gate, augment=augment, steps_per_epoch=6,
+                       width=0.0625, seed=3)
+        state = train(cfg, out_dir=tmp_path)
+        losses, model, best = reference_run(cfg)
+        assert [v.hex() for v in state.losses] == [v.hex() for v in losses]
+        assert same_tensors(state.model.named_tensors(), model.named_tensors())
+        for name, expected in (("final", model.named_tensors()), ("best", best)):
+            saved = [(n, a) for n, a in load_checkpoint(tmp_path / f"{name}.ckpt")
+                     if not n.startswith(META_PREFIX)]
+            assert same_tensors(saved, expected), name
 
 
 class TestCheckpointGlue:
@@ -470,6 +527,26 @@ class TestSweep:
         monkeypatch.setattr(mtrain, "train", lambda *a, **k: pytest.fail("trained"))
         with pytest.raises(ConfigError, match="width 0.3 gives design 5 stage 1"):
             sweep(tiny_cfg(), {"width": ["0.25", "0.3"]})
+
+    def test_attention_free_design_trains_once_for_both_gates(self, monkeypatch):
+        """Design 0 has no attention block, so its gate changes nothing: the
+        two design-0 cells share one run and each row keeps its gate."""
+        import moonnet.train as mtrain
+
+        trained = []
+
+        def counted(cfg, *args, **kwargs):
+            trained.append(cfg)
+            return train(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(mtrain, "train", counted)
+        rows = sweep(tiny_cfg(epochs=1, steps_per_epoch=2),
+                     {"design_id": ["0", "5"], "gate": ["sigmoid", "residual-tanh"]})
+        assert [c.design_id for c in trained] == [0, 5, 5]
+        assert [(r["design_id"], r["gate"]) for r in rows] == [
+            ("0", "sigmoid"), ("0", "residual-tanh"), ("5", "sigmoid"), ("5", "residual-tanh")]
+        assert {**rows[0], "gate": None} == {**rows[1], "gate": None}
+        assert rows[2]["final_loss"] != rows[3]["final_loss"]
 
     def test_config_file_is_the_base(self, tmp_path, capsys):
         """An --over key may also be in the --config file, which it overrides."""
@@ -756,6 +833,20 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         if {"{empty_dir}", "{difficult_dir}"} & set(argv):
             assert err.startswith(f"error: --gt {argv[2].format(**paths)}: ")
+
+    def test_train_out_is_a_file_fails_before_the_first_step(self, tmp_path, capsys,
+                                                             monkeypatch):
+        import moonnet.train as mtrain
+
+        monkeypatch.setattr(mtrain.TrainState, "step", lambda *a: pytest.fail("stepped"))
+        out = tmp_path / "f"
+        out.write_text("")
+        rc = cli_main(["train", "--epochs", "1", "--steps-per-epoch", "1", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert out.read_text() == ""
 
     def test_python_dash_m_moonnet(self):
         src = str(Path(moonnet.__file__).resolve().parents[1])
