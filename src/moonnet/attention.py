@@ -29,7 +29,6 @@ from .tensor import (
     relu,
     sigmoid,
     tanh_act,
-    uniform_init,
 )
 
 __all__ = [
@@ -72,33 +71,21 @@ def bottleneck_width(channels: int, reduction: int) -> int:
 class SEBlock(Module):
     """Squeeze-and-excitation: global average pool, bottleneck MLP, channel gate.
 
-    Constructed identity-safe: the output projection (W2, b2) starts at zero,
-    so the channel logits are zero for any input.  ``rng`` is a Generator or
-    a seed for the W1/b1 draw; ``None`` leaves every parameter zero.
+    Built with every parameter zero; ``draw(rng)`` fills W1 and b1 (fan-in
+    ``channels``).  The output projection (W2, b2) stays zero, so the channel
+    logits are zero for any input: the block is identity-safe.
     """
 
     def __init__(self, channels: int, reduction: int = 16,
-                 gate: GateKind = GateKind.RESIDUAL_TANH,
-                 rng: np.random.Generator | int | None = 0, name: str = "se"):
+                 gate: GateKind = GateKind.RESIDUAL_TANH, name: str = "se"):
         self.channels = channels
         self.m = bottleneck_width(channels, reduction)
         self.gate = gate
-        self.w1 = Param(f"{name}/w1", np.zeros((self.m, channels), dtype=np.float32))
-        self.b1 = Param(f"{name}/b1", np.zeros((self.m,), dtype=np.float32))
+        self.w1 = Param(f"{name}/w1", np.zeros((self.m, channels), dtype=np.float32), channels)
+        self.b1 = Param(f"{name}/b1", np.zeros((self.m,), dtype=np.float32), channels)
         self.w2 = Param(f"{name}/w2", np.zeros((channels, self.m), dtype=np.float32))
         self.b2 = Param(f"{name}/b2", np.zeros((channels,), dtype=np.float32))
         self._tape = None
-        if rng is not None:
-            self._init(np.random.default_rng(rng))
-
-    def _init(self, rng: np.random.Generator):
-        """Identity-safe init: every parameter zeroed, then W1 and b1 drawn
-        uniform with bound 1/sqrt(channels)."""
-        for p in self.parameters():
-            p.value[...] = 0.0
-        for p in (self.w1, self.b1):
-            p.value[...] = uniform_init(rng, p.value.shape, self.channels)
-        return self
 
     def _channel_gate(self, x: Tensor4, pools):
         """Run the shared MLP over each pooled vector of ``x``, sum the logits
@@ -155,11 +142,10 @@ class CBAMBlock(SEBlock):
     """
 
     def __init__(self, channels: int, reduction: int = 16, kernel_size: int = 7,
-                 gate: GateKind = GateKind.RESIDUAL_TANH,
-                 rng: np.random.Generator | int | None = 0, name: str = "cbam"):
+                 gate: GateKind = GateKind.RESIDUAL_TANH, name: str = "cbam"):
         if kernel_size % 2 == 0:
             raise ValueError(f"spatial kernel size must be odd, got {kernel_size}")
-        super().__init__(channels, reduction, gate, rng, name)
+        super().__init__(channels, reduction, gate, name)
         self.k = kernel_size
         self.spatial_kernel = Param(f"{name}/spatial_kernel",
                                     np.zeros((1, 2, kernel_size, kernel_size),
@@ -195,8 +181,13 @@ class CBAMBlock(SEBlock):
 
 
 def identity_safe_init(module, seed: int = 0):
-    """Re-initialize a block to its constructed state under ``seed``: the
-    identity (residual gate) or a constant scaling by 0.5 for SE and 0.25 for
-    CBAM (sigmoid gate), with the first projection drawn uniform with bound
-    1/sqrt(fan_in) and every later projection zeroed."""
-    return module._init(np.random.default_rng(seed))
+    """Re-initialize an SE or CBAM block to the bits of
+    ``Block(...).draw(default_rng(seed))``: every parameter zeroed, then the
+    first projection drawn.  The residual gate is then the identity, the
+    sigmoid gate a constant scaling by 0.5 (SE) or 0.25 (CBAM)."""
+    if not isinstance(module, SEBlock):
+        raise TypeError(f"identity_safe_init takes an SE or CBAM block, "
+                        f"got {type(module).__name__}")
+    for p in module.parameters():
+        p.value[...] = 0.0
+    return module.draw(np.random.default_rng(seed))

@@ -191,10 +191,12 @@ def _parse_line(line: str, class_ids: dict[str, int]):
     parts = line.split()
     if len(parts) == 10:
         coords = [float(p) for p in parts[:8]]
-        difficult = bool(int(parts[9]))
+        difficult = int(parts[9])
+        if difficult not in (0, 1):
+            raise ValueError(f"difficulty must be 0 or 1, got {parts[9]}")
         cid = class_ids.setdefault(parts[8], len(class_ids))
         xs, ys = coords[0::2], coords[1::2]
-        return BBox(min(xs), min(ys), max(xs), max(ys), cid, difficult=difficult)
+        return BBox(min(xs), min(ys), max(xs), max(ys), cid, difficult=bool(difficult))
     if len(parts) in (5, 6):
         x1, y1, x2, y2 = (float(p) for p in parts[:4])
         score = float(parts[5]) if len(parts) == 6 else None

@@ -30,7 +30,6 @@ from .tensor import (
     conv2d,
     silu,
     split_channels,
-    uniform_init,
 )
 
 __all__ = [
@@ -80,7 +79,6 @@ DESIGN_ATTENTION = {
 class StageSpec:
     out_channels: int
     attention: AttentionKind = AttentionKind.NONE
-    has_c2f: bool = True
 
 
 @dataclass
@@ -116,12 +114,11 @@ def build_design(design_id: int, width_multiplier: float = 1.0,
         ladder = BASE_LADDER if design_id in (1, 2, 3) else DOUBLED_LADDER
     kinds = DESIGN_ATTENTION[design_id]
     stages = [
-        StageSpec(out_channels=_scale(c, width_multiplier), attention=kind,
-                  has_c2f=(i > 0))
-        for i, (c, kind) in enumerate(zip(ladder, kinds))
+        StageSpec(out_channels=_scale(c, width_multiplier), attention=kind)
+        for c, kind in zip(ladder, kinds)
     ]
     for i, spec in enumerate(stages):
-        if spec.has_c2f and spec.out_channels % 2:
+        if i > 0 and spec.out_channels % 2:  # every stage but the first has a C2f
             raise ConfigError(f"width {width_multiplier} gives design {design_id} stage {i} "
                               f"{spec.out_channels} channels; its C2f block needs an even count")
     return BackboneDesign(stages=stages, gate=gate, reduction=reduction,
@@ -134,15 +131,13 @@ def build_design(design_id: int, width_multiplier: float = 1.0,
 
 class ConvBlock(Module):
     """conv -> batchnorm -> SiLU.  The conv has no bias: a training-mode
-    batchnorm subtracts the batch mean, which would cancel it.  With
-    ``rng=None`` the kernel is zeros instead of drawn."""
+    batchnorm subtracts the batch mean, which would cancel it.  The kernel is
+    built zero; ``draw`` fills it."""
 
-    def __init__(self, c_in, c_out, k, rng, name, stride=1):
+    def __init__(self, c_in, c_out, k, name, stride=1):
         self.stride, self.pad = stride, (k - 1) // 2
-        shape = (c_out, c_in, k, k)
-        self.weight = Param(f"{name}/weight",
-                            np.zeros(shape, dtype=np.float32) if rng is None
-                            else uniform_init(rng, shape, c_in * k * k))
+        self.weight = Param(f"{name}/weight", np.zeros((c_out, c_in, k, k), dtype=np.float32),
+                            c_in * k * k)
         self.gamma = Param(f"{name}/bn_gamma", np.ones((c_out,), dtype=np.float32))
         self.beta = Param(f"{name}/bn_beta", np.zeros((c_out,), dtype=np.float32))
         self.running_mean = Buffer(f"{name}/bn_running_mean",
@@ -173,9 +168,9 @@ class ConvBlock(Module):
 class Bottleneck(Module):
     """Two 3x3 conv blocks with a residual add (channel-preserving)."""
 
-    def __init__(self, channels, rng, name):
-        self.cv1 = ConvBlock(channels, channels, 3, rng, f"{name}/cv1")
-        self.cv2 = ConvBlock(channels, channels, 3, rng, f"{name}/cv2")
+    def __init__(self, channels, name):
+        self.cv1 = ConvBlock(channels, channels, 3, f"{name}/cv1")
+        self.cv2 = ConvBlock(channels, channels, 3, f"{name}/cv2")
         self._tape = None
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
@@ -196,11 +191,11 @@ class C2f(Module):
     """Simplified split/bottleneck/concat block: 1x1 conv, split in half,
     run one bottleneck on the second half, concat, 1x1 conv."""
 
-    def __init__(self, channels, rng, name):
+    def __init__(self, channels, name):
         self.channels = channels
-        self.cv1 = ConvBlock(channels, channels, 1, rng, f"{name}/cv1")
-        self.block = Bottleneck(channels // 2, rng, f"{name}/b0")
-        self.cv2 = ConvBlock(channels, channels, 1, rng, f"{name}/cv2")
+        self.cv1 = ConvBlock(channels, channels, 1, f"{name}/cv1")
+        self.block = Bottleneck(channels // 2, f"{name}/b0")
+        self.cv2 = ConvBlock(channels, channels, 1, f"{name}/cv2")
         self._tape = None
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
@@ -221,30 +216,23 @@ class C2f(Module):
 
 
 def _make_attention(kind: AttentionKind, channels: int, gate: GateKind, reduction: int,
-                    spatial_kernel: int, rng, name):
+                    spatial_kernel: int, name):
     if kind is AttentionKind.SE:
-        return SEBlock(channels, reduction, gate, rng=rng, name=name)
+        return SEBlock(channels, reduction, gate, name=name)
     if kind is AttentionKind.CBAM:
-        return CBAMBlock(channels, reduction, spatial_kernel, gate, rng=rng, name=name)
+        return CBAMBlock(channels, reduction, spatial_kernel, gate, name=name)
     return None
 
 
 class Stage(Module):
-    """stride-2 conv block -> attention -> optional C2f."""
+    """stride-2 conv block -> attention -> C2f, which the first stage lacks."""
 
-    def __init__(self, c_in, spec: StageSpec, design: BackboneDesign, seed, idx):
-        # dedicated streams per component so attention draws never shift the
-        # conv weights between designs; no seed, no streams and no draws
-        conv_rng, att_rng, c2f_rng = (
-            [None] * 3 if seed is None
-            else [np.random.default_rng([seed, idx, j]) for j in range(3)])
-        self.conv = ConvBlock(c_in, spec.out_channels, 3, conv_rng, f"stage{idx}/conv",
-                              stride=2)
+    def __init__(self, c_in, spec: StageSpec, design: BackboneDesign, idx):
+        self.conv = ConvBlock(c_in, spec.out_channels, 3, f"stage{idx}/conv", stride=2)
         self.attention = _make_attention(spec.attention, spec.out_channels, design.gate,
                                          design.reduction, design.spatial_kernel,
-                                         att_rng, name=f"stage{idx}/att")
-        self.c2f = (C2f(spec.out_channels, c2f_rng, f"stage{idx}/c2f")
-                    if spec.has_c2f else None)
+                                         name=f"stage{idx}/att")
+        self.c2f = C2f(spec.out_channels, f"stage{idx}/c2f") if idx > 0 else None
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         y = self.conv.forward(x, training)
@@ -265,15 +253,21 @@ class Stage(Module):
 class Backbone(Module):
     """Full stage pipeline; forward emits every stage output for pyramid use.
 
-    ``seed=None`` builds the same tensors without drawing any: every drawn
-    weight is zeros, for a caller that fills them from a checkpoint.
+    Stage ``i``'s parts (conv, attention, c2f) draw from dedicated streams
+    ``[seed, i, j]``, so attention draws never shift the conv weights between
+    designs.  ``seed=None`` draws nothing: every drawn weight stays zero, for
+    a caller that fills them from a checkpoint.
     """
 
     def __init__(self, design: BackboneDesign, seed: int | None = 0):
         self.stages = []
         c = IN_CHANNELS
         for i, spec in enumerate(design.stages):
-            self.stages.append(Stage(c, spec, design, seed, i))
+            st = Stage(c, spec, design, i)
+            for j, part in enumerate((st.conv, st.attention, st.c2f)):
+                if seed is not None and part is not None:
+                    part.draw(np.random.default_rng([seed, i, j]))
+            self.stages.append(st)
             c = spec.out_channels
 
     def num_parameters(self) -> int:
@@ -324,9 +318,9 @@ def per_branch_attention(branches: list[Tensor4], kinds: list[AttentionKind],
         raise ConfigError(f"{len(branches)} branches but {len(kinds)} attention kinds")
     outs, modules = [], []
     for i, (f, kind) in enumerate(zip(branches, kinds)):
-        rng = np.random.default_rng([seed, i])
-        mod = _make_attention(kind, f.c, gate, reduction, spatial_kernel, rng,
-                              name=f"branch{i}/att")
+        mod = _make_attention(kind, f.c, gate, reduction, spatial_kernel, name=f"branch{i}/att")
+        if mod is not None:
+            f = mod.draw(np.random.default_rng([seed, i])).forward(f, training=False)
         modules.append(mod)
-        outs.append(f if mod is None else mod.forward(f, training=False))
+        outs.append(f)
     return outs, modules

@@ -214,7 +214,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # a diverging run overflows on its way to TrainingDiverged: one line, no warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ConfigError, AnnotationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -187,9 +187,9 @@ def check_attention(kind: str, input_shape, gate: GateKind, seed: int = 0):
     rng = np.random.default_rng(seed)
     c = input_shape[1]
     if kind == "se":
-        module = SEBlock(c, reduction=4, gate=gate, rng=rng).cast(np.float64)
+        module = SEBlock(c, reduction=4, gate=gate).draw(rng).cast(np.float64)
     elif kind == "cbam":
-        module = CBAMBlock(c, reduction=4, kernel_size=3, gate=gate, rng=rng).cast(np.float64)
+        module = CBAMBlock(c, reduction=4, kernel_size=3, gate=gate).draw(rng).cast(np.float64)
     else:
         raise ValueError(f"unknown attention kind {kind!r}")
     for p in module.parameters():

@@ -20,7 +20,6 @@ __all__ = [
     "Buffer",
     "Module",
     "KinkTrace",
-    "uniform_init",
     "global_avg_pool",
     "global_max_pool",
     "channel_reduce_avg",
@@ -87,14 +86,25 @@ class Tensor4:
 
 class Param:
     """Named learnable array and its accumulated gradient, None until the
-    first ``add_grad`` of a backward."""
+    first ``add_grad`` of a backward.  A Param with a ``fan_in`` is a drawn
+    weight: it is built zero and ``draw`` fills it."""
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "value", "grad", "fan_in")
 
-    def __init__(self, name: str, value: np.ndarray):
+    def __init__(self, name: str, value: np.ndarray, fan_in: int | None = None):
         self.name = name
         self.value = np.asarray(value)
         self.grad = None
+        self.fan_in = fan_in
+
+    def draw(self, rng: np.random.Generator):
+        """The package's one weight draw: float32 uniform in
+        [-1/sqrt(fan_in), 1/sqrt(fan_in)), written into ``value``; a Param
+        without a ``fan_in`` is left as it is."""
+        if self.fan_in is not None:
+            bound = 1.0 / np.sqrt(self.fan_in)
+            self.value[...] = rng.uniform(-bound, bound,
+                                          size=self.value.shape).astype(np.float32)
 
     def zero_grad(self):
         self.grad = None
@@ -121,9 +131,9 @@ class Buffer(Param):
 
 class Module:
     """Base of every layer.  ``parameters()``, ``named_tensors()``,
-    ``zero_grad()`` and ``cast()`` walk the instance's ``Param``, ``Buffer``,
-    ``Module`` and list-of-``Module`` attributes in assignment order, which is
-    the checkpoint order.  Subclasses define ``forward(x, training)`` and
+    ``zero_grad()``, ``cast()`` and ``draw()`` walk the instance's ``Param``,
+    ``Buffer``, ``Module`` and list-of-``Module`` attributes in assignment
+    order, which is the checkpoint order.  Subclasses define ``forward(x, training)`` and
     ``backward(g)``, keeping what backward needs in ``self._tape`` in
     training only: an eval forward records no tape."""
 
@@ -159,14 +169,13 @@ class Module:
             p.value = p.value.astype(dtype)
         return self
 
-
-def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    """Float32 weights drawn uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)).
-    Every drawn weight comes from here; a module built without a generator
-    (``rng=None``, as ``load_model_checkpoint`` builds its model) calls it not
-    at all and leaves those weights zero."""
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    def draw(self, rng: np.random.Generator):
+        """Draw every Param that has a ``fan_in`` from ``rng``, in checkpoint
+        order, and return the module.  Layers are built with those weights
+        zero, so a model that a checkpoint fills draws nothing."""
+        for p in self._tensors():
+            p.draw(rng)
+        return self
 
 
 class KinkTrace:

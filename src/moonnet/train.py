@@ -21,7 +21,7 @@ from .checkpoint import (META_PREFIX, CheckpointError, bytes_to_tensor, load_che
                          save_checkpoint, tensor_to_bytes)
 from .config import ExperimentConfig, parse_config_text, set_field
 from .metrics import EvalResult, evaluate
-from .tensor import Module, Param, Tensor4, clipped_sigmoid, conv2d, uniform_init
+from .tensor import Module, Param, Tensor4, clipped_sigmoid, conv2d
 
 __all__ = [
     "sgd_step",
@@ -146,15 +146,13 @@ class PatchModel(Module):
 
     def __init__(self, cfg: ExperimentConfig, draw: bool = True):
         design = build_design(cfg.design_id, cfg.width, cfg.gate)
-        seed = cfg.seed if draw else None
-        self.backbone = Backbone(design, seed=seed)
+        self.backbone = Backbone(design, seed=cfg.seed if draw else None)
         c_last = design.stages[-1].out_channels
-        shape = (1, c_last, 1, 1)
-        self.head_w = Param("head/weight", np.zeros(shape, dtype=np.float32) if seed is None
-                            else uniform_init(np.random.default_rng([seed, 1000]), shape,
-                                              c_last))
+        self.head_w = Param("head/weight", np.zeros((1, c_last, 1, 1), dtype=np.float32), c_last)
         self.head_b = Param("head/bias", np.zeros((1,), dtype=np.float32))
         self._tape = None
+        if draw:
+            self.head_w.draw(np.random.default_rng([cfg.seed, 1000]))
 
     def forward(self, x: Tensor4, training: bool = True) -> np.ndarray:
         """Returns per-cell logits of shape (n, 1, grid, grid)."""

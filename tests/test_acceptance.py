@@ -76,8 +76,8 @@ def test_criterion_2_sigmoid_halving():
     ok = True
     for x in _seeded_inputs():
         c = x.shape[1]
-        se = SEBlock(c, gate=GateKind.SIGMOID_ORIGINAL)
-        cb = CBAMBlock(c, gate=GateKind.SIGMOID_ORIGINAL)
+        se = SEBlock(c, gate=GateKind.SIGMOID_ORIGINAL).draw(np.random.default_rng(0))
+        cb = CBAMBlock(c, gate=GateKind.SIGMOID_ORIGINAL).draw(np.random.default_rng(0))
         y_se = se.forward(x).values
         y_cb = cb.forward(x).values
         # one ulp of slack on the exact-scaling claim

@@ -1,6 +1,7 @@
 """SE/CBAM block tests, including straight-line scalar oracles of both
 equations and the identity-at-init / halving behaviours."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,12 +15,18 @@ from moonnet.attention import (
     gate_multiplier,
     identity_safe_init,
 )
+from moonnet.backbone import ConvBlock
 from moonnet.tensor import ShapeError, Tensor4
 from moonnet.train import SGD
 
 
 def random_input(shape, seed=0):
     return Tensor4(np.random.default_rng(seed).standard_normal(shape).astype(np.float32))
+
+
+def drawn(block, seed=0):
+    """A block as the backbone builds it: W1 and b1 drawn, the rest zero."""
+    return block.draw(np.random.default_rng(seed))
 
 
 def randomize(module, seed, scale=0.5):
@@ -66,18 +73,18 @@ class TestBottleneckWidth:
 class TestSEIdentity:
     def test_residual_tanh_identity_bitwise(self):
         x = random_input((2, 16, 5, 5), seed=3)
-        se = SEBlock(16, gate=GateKind.RESIDUAL_TANH)
+        se = drawn(SEBlock(16, gate=GateKind.RESIDUAL_TANH))
         y = se.forward(x)
         assert np.array_equal(y.values, x.values)
 
     def test_sigmoid_halves_exactly(self):
         x = random_input((2, 16, 5, 5), seed=3)
-        se = SEBlock(16, gate=GateKind.SIGMOID_ORIGINAL)
+        se = drawn(SEBlock(16, gate=GateKind.SIGMOID_ORIGINAL))
         y = se.forward(x)
         assert np.array_equal(y.values, 0.5 * x.values)
 
     def test_logits_zero_for_any_input(self):
-        se = SEBlock(8)
+        se = drawn(SEBlock(8))
         for seed in range(3):
             x = random_input((1, 8, 4, 4), seed=seed)
             se.forward(x)
@@ -191,13 +198,13 @@ def cbam_scalar_oracle(x, w1, b1, w2, b2, sk, sb, gate):
 class TestCBAM:
     def test_residual_tanh_identity_bitwise(self):
         x = random_input((2, 8, 6, 6), seed=1)
-        cb = CBAMBlock(8, gate=GateKind.RESIDUAL_TANH)
+        cb = drawn(CBAMBlock(8, gate=GateKind.RESIDUAL_TANH))
         y = cb.forward(x)
         assert np.array_equal(y.values, x.values)
 
     def test_sigmoid_quarters_exactly(self):
         x = random_input((2, 8, 6, 6), seed=1)
-        cb = CBAMBlock(8, gate=GateKind.SIGMOID_ORIGINAL)
+        cb = drawn(CBAMBlock(8, gate=GateKind.SIGMOID_ORIGINAL))
         y = cb.forward(x)
         assert np.array_equal(y.values, 0.25 * x.values)
 
@@ -284,10 +291,10 @@ class TestIdentitySafeInit:
         """Blocks are built float32; a block cast to float64 re-initializes to
         the bits of a fresh block cast the same way."""
         for s in (0, 7):
-            block = cls(24, gate=gate, rng=np.random.default_rng(99)).cast(dtype)
+            block = drawn(cls(24, gate=gate), 99).cast(dtype)
             randomize(block, seed=s + 1)
             identity_safe_init(block, s)
-            fresh = cls(24, gate=gate, rng=np.random.default_rng(s)).cast(dtype)
+            fresh = drawn(cls(24, gate=gate), s).cast(dtype)
             pairs = list(zip(block.named_tensors(), fresh.named_tensors()))
             assert len(pairs) == (6 if cls is CBAMBlock else 4)
             for (name, a), (fresh_name, b) in pairs:
@@ -295,8 +302,32 @@ class TestIdentitySafeInit:
                 assert a.dtype == b.dtype == dtype
                 assert a.tobytes() == b.tobytes(), name
 
+    def test_rejects_a_block_that_is_not_attention(self):
+        # zeroing every parameter of a ConvBlock would zero its batchnorm gamma
+        conv = ConvBlock(3, 8, 3, "conv")
+        with pytest.raises(TypeError, match="an SE or CBAM block, got ConvBlock"):
+            identity_safe_init(conv, seed=0)
+        assert np.all(conv.gamma.value == 1.0)
+
+    # sha256 of every named tensor's name, dtype, shape and bytes, taken when
+    # the blocks drew W1 and b1 in their constructors (``rng=default_rng(s)``)
+    @pytest.mark.parametrize("cls, seed, digest", [
+        (SEBlock, 0, "7de52bb99cfca4e70225e7931ab1db4534f93b34a7164941279f12ad7fabdd62"),
+        (SEBlock, 7, "e662a102581b8dbe56937ae013bc0dc8bd22673c097b180935d45a044fd00987"),
+        (CBAMBlock, 0, "34c228d28f3818775df13c1ee791371c7369969d118666095e193d3289a1f2cc"),
+        (CBAMBlock, 7, "dae996f2213fa64bb7a78bf505caf4a9ae9a4c1708243883ca9e9fb06df57efa"),
+    ])
+    def test_draw_pinned(self, cls, seed, digest):
+        block = cls(24)
+        assert block.draw(np.random.default_rng(seed)) is block
+        h = hashlib.sha256()
+        for name, arr in block.named_tensors():
+            h.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest
+
     def test_gate_activates_after_one_sgd_step(self):
-        se = SEBlock(8, gate=GateKind.RESIDUAL_TANH, rng=np.random.default_rng(50))
+        se = drawn(SEBlock(8, gate=GateKind.RESIDUAL_TANH), 50)
         x = random_input((1, 8, 4, 4), seed=51)
         y = se.forward(x)
         assert np.array_equal(y.values, x.values)

@@ -257,7 +257,9 @@ class TestAnnotationIO:
                                       "1 nan 3 4 0",          # NaN coordinate
                                       "0 0 inf 5 0",          # infinite coordinate
                                       "1 2 3 4 0 1.5",        # score outside [0, 1]
-                                      "20 20 30 30 -1"])      # negative class id
+                                      "20 20 30 30 -1",       # negative class id
+                                      "0 0 10 0 10 10 0 10 plane 2",    # difficulty not 0/1
+                                      "0 0 10 0 10 10 0 10 plane -1"])
     def test_bad_box_is_annotation_error_naming_line(self, tmp_path, line):
         p = tmp_path / "bad.txt"
         p.write_text("1 2 3 4 0\n" + line + "\n")

@@ -1,5 +1,6 @@
-"""The Module protocol: parameters, named tensors, zero_grad and cast derived
-from a layer's attributes in assignment order, pinned to the checkpoint layout."""
+"""The Module protocol: parameters, named tensors, zero_grad, cast and draw
+derived from a layer's attributes in assignment order, pinned to the
+checkpoint layout."""
 
 import hashlib
 import inspect
@@ -123,8 +124,50 @@ def test_no_layer_writes_a_protocol_method():
     assert {cls.__name__ for cls in layers} >= {
         "ConvBlock", "Bottleneck", "C2f", "Stage", "Backbone", "SEBlock", "CBAMBlock",
         "PatchModel"}
+    protocol = {"parameters", "named_tensors", "zero_grad", "cast", "draw"}
     for cls in layers:
-        assert not {"parameters", "named_tensors", "zero_grad", "cast"} & set(vars(cls)), cls
+        assert not protocol & set(vars(cls)), cls
+
+
+def test_layers_build_with_their_drawn_weights_zero(monkeypatch):
+    """No layer makes a generator: the Params that declare a fan-in are
+    built zero, and only ``draw`` fills them."""
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    layers = {
+        backbone.ConvBlock(3, 8, 3, "conv"): ["conv/weight"],
+        backbone.C2f(8, "c2f"): ["c2f/cv1/weight", "c2f/b0/cv1/weight", "c2f/b0/cv2/weight",
+                                 "c2f/cv2/weight"],
+        attention.SEBlock(24): ["se/w1", "se/b1"],
+        attention.CBAMBlock(24): ["cbam/w1", "cbam/b1"],
+    }
+    for layer, names in layers.items():
+        drawn = [p for p in layer.parameters() if p.fan_in is not None]
+        assert [p.name for p in drawn] == names
+        assert not any(p.value.any() for p in drawn)
+
+
+def test_draw_walks_the_drawn_params_in_checkpoint_order():
+    class Leaf(Module):
+        def __init__(self, name):
+            self.w = Param(f"{name}/w", np.zeros((2, 3), dtype=np.float32), fan_in=4)
+            self.b = Param(f"{name}/b", np.ones(2, dtype=np.float32))
+
+    class Tree(Module):
+        def __init__(self):
+            self.kids = [Leaf("k0"), Leaf("k1")]
+            self.stat = Buffer("stat", np.ones(2, dtype=np.float32))
+
+    tree = Tree()
+    assert tree.draw(np.random.default_rng(3)) is tree
+    rng = np.random.default_rng(3)
+    for kid in tree.kids:
+        assert kid.w.value.dtype == np.float32
+        assert kid.w.value.tobytes() == rng.uniform(-0.5, 0.5, (2, 3)).astype(np.float32).tobytes()
+        assert np.array_equal(kid.b.value, np.ones(2))
+    assert np.array_equal(tree.stat.value, np.ones(2))
 
 
 def test_cast_recasts_every_tensor_and_keeps_the_layout():

@@ -19,7 +19,7 @@ from moonnet.checkpoint import (META_PREFIX, CheckpointError, bytes_to_tensor,
 from moonnet.cli import main as cli_main
 from moonnet.config import ConfigError, ExperimentConfig, load_config_file, parse_config_text
 from moonnet.metrics import evaluate
-from moonnet.tensor import clipped_sigmoid
+from moonnet.tensor import Param, Tensor4, clipped_sigmoid
 from moonnet.train import (
     EVAL_PIXELS_PER_FORWARD,
     PatchModel,
@@ -304,6 +304,47 @@ class TestTrainLoop:
             assert same_tensors(saved, expected), name
 
 
+class TestFloat32TracksFloat64:
+    # Relative loss gaps measured over seeds 0-9 at these settings (width
+    # 0.125, batch 4, 64 px), designs 0, 2 and 5 under both gates: at most
+    # 4.4e-7 at step 0, where only float32 rounding separates the twins, and
+    # at most 6.6e-2 over 10 steps (design 2, residual gate, seed 4), as SGD
+    # amplifies that rounding; the next worst run reached 9.5e-3.
+    STEP0_BOUND = 2e-6
+    BOUND = 0.15
+
+    @pytest.mark.parametrize("gate", list(GateKind))
+    @pytest.mark.parametrize("design_id", [0, 2, 5])
+    def test_ten_steps_against_the_float64_cast(self, design_id, gate):
+        """A model and its float64 cast trained on the same batches: the
+        losses stay close step by step, and nothing in the float32 model is
+        upcast (logits, input gradient, weights, buffers, gradients and
+        velocities)."""
+        def step(model, opt, x, labels):
+            logits = model.forward(x, training=True)
+            loss, g = bce_with_logits(logits, labels)
+            opt.zero_grad()
+            gx = model.backward(g)
+            opt.step()
+            return loss, ([logits, gx] + [a for _, a in model.named_tensors()]
+                          + opt.velocities + [p.grad for p in model.parameters()])
+
+        cfg = tiny_cfg(design_id=design_id, gate=gate, width=0.125, batch=4)
+        m32, m64 = PatchModel(cfg), PatchModel(cfg).cast(np.float64)
+        o32, o64 = (SGD(m.parameters(), cfg.lr, cfg.momentum) for m in (m32, m64))
+        task = SyntheticPatchTask(cfg.input_size, cfg.augment)
+        rng = np.random.default_rng([cfg.seed, 2])  # train()'s batch-seed stream
+        gaps = []
+        for _ in range(10):
+            x, labels, _ = task.batch([int(s) for s in rng.integers(0, 2 ** 31, size=4)])
+            loss32, arrays = step(m32, o32, x, labels)
+            loss64, _ = step(m64, o64, Tensor4(x.values.astype(np.float64)), labels)
+            assert {a.dtype.str for a in arrays} == {"<f4"}
+            gaps.append(abs(loss32 - loss64) / loss64)
+        assert gaps[0] <= self.STEP0_BOUND, gaps
+        assert max(gaps) <= self.BOUND, gaps
+
+
 class TestCheckpointGlue:
     def test_model_round_trip_bitwise_forward(self, tmp_path):
         cfg = tiny_cfg()
@@ -341,11 +382,7 @@ class TestCheckpointGlue:
         def no_draw(*args, **kwargs):
             raise AssertionError("a weight was drawn")
 
-        patched = [m for name, m in sys.modules.items()
-                   if name.split(".")[0] == "moonnet" and hasattr(m, "uniform_init")]
-        assert len(patched) >= 4  # tensor, backbone, attention, train
-        for m in patched:
-            monkeypatch.setattr(m, "uniform_init", no_draw)
+        monkeypatch.setattr(Param, "draw", no_draw)
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         with pytest.raises(AssertionError, match="drawn"):
             PatchModel(cfg)
@@ -690,6 +727,15 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
+
+    def test_diverging_run_prints_one_line(self, capsys):
+        # the overflow on the way to the non-finite loss warns nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main(["train", "--lr", "1e30", "--width", "0.0625", "--epochs", "1",
+                           "--steps-per-epoch", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == "runtime failure: non-finite loss at step 1\n"
 
     def test_size_32_trains_with_batch_2(self, capsys):
         rc = cli_main(["train", "--size", "32", "--batch", "2", "--width", "0.125",
