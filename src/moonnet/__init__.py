@@ -6,9 +6,9 @@ stage pipeline, box-aware augmentation, detection metrics, and a
 finite-difference verification harness.
 """
 
-from .attention import CBAMBlock, GateKind, SEBlock, bottleneck_width, gate_multiplier, identity_safe_init
+from .attention import CBAMBlock, GateKind, SEBlock, bottleneck_width, identity_safe_init
 from .augment import AugmentPackage, BBox, LabeledImage, apply_package, hflip, rotate90, vflip
-from .backbone import AttentionKind, Backbone, BackboneDesign, build_design, per_branch_attention
+from .backbone import AttentionKind, Backbone, BackboneDesign, build_design
 from .config import ExperimentConfig
 from .metrics import average_precision, coco_ap, evaluate, iou, mean_box_area
 from .tensor import Module, Param, ShapeError, Tensor4

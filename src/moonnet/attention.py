@@ -33,7 +33,6 @@ from .tensor import (
 
 __all__ = [
     "GateKind",
-    "gate_multiplier",
     "gate_tensor",
     "bottleneck_width",
     "SEBlock",
@@ -47,14 +46,9 @@ class GateKind(enum.Enum):
     RESIDUAL_TANH = "residual-tanh"
 
 
-def gate_multiplier(kind: GateKind, logit: float) -> float:
-    """Scalar gate response: sigmoid in (0, 1), residual tanh in (0, 2)."""
-    mult, _ = gate_tensor(Tensor4(np.full((1, 1, 1, 1), logit, dtype=np.float64)), kind)
-    return float(mult.values[0, 0, 0, 0])
-
-
 def gate_tensor(z: Tensor4, kind: GateKind):
-    """Tensor gate with backward; returns (multiplier, backward)."""
+    """Tensor gate with backward; returns (multiplier, backward).  The
+    sigmoid multiplier lies in (0, 1), the residual tanh one in (0, 2)."""
     if kind is GateKind.SIGMOID_ORIGINAL:
         return sigmoid(z)
     t, backward = tanh_act(z)  # d(1 + tanh)/dz = d tanh/dz

@@ -40,7 +40,6 @@ __all__ = [
     "build_design",
     "Backbone",
     "ConvBlock",
-    "per_branch_attention",
     "DESIGN_ATTENTION",
     "BASE_LADDER",
     "DOUBLED_LADDER",
@@ -85,7 +84,6 @@ class StageSpec:
 class BackboneDesign:
     stages: list[StageSpec]
     gate: GateKind = GateKind.RESIDUAL_TANH
-    reduction: int = 16
     spatial_kernel: int = 7
 
     @property
@@ -100,7 +98,7 @@ def _scale(c: int, w: float) -> int:
 def build_design(design_id: int, width_multiplier: float = 1.0,
                  gate: GateKind = GateKind.RESIDUAL_TANH,
                  ladder: tuple[int, ...] | None = None,
-                 reduction: int = 16, spatial_kernel: int = 7) -> BackboneDesign:
+                 spatial_kernel: int = 7) -> BackboneDesign:
     """Build one of the seven stage arrangements (0 = attention-free).
 
     ``ladder`` overrides the per-design default channel ladder; designs 1-3
@@ -121,8 +119,7 @@ def build_design(design_id: int, width_multiplier: float = 1.0,
         if i > 0 and spec.out_channels % 2:  # every stage but the first has a C2f
             raise ConfigError(f"width {width_multiplier} gives design {design_id} stage {i} "
                               f"{spec.out_channels} channels; its C2f block needs an even count")
-    return BackboneDesign(stages=stages, gate=gate, reduction=reduction,
-                          spatial_kernel=spatial_kernel)
+    return BackboneDesign(stages=stages, gate=gate, spatial_kernel=spatial_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +212,19 @@ class C2f(Module):
         return self.cv1.backward(g)
 
 
-def _make_attention(kind: AttentionKind, channels: int, gate: GateKind, reduction: int,
-                    spatial_kernel: int, name):
-    if kind is AttentionKind.SE:
-        return SEBlock(channels, reduction, gate, name=name)
-    if kind is AttentionKind.CBAM:
-        return CBAMBlock(channels, reduction, spatial_kernel, gate, name=name)
-    return None
-
-
 class Stage(Module):
-    """stride-2 conv block -> attention -> C2f, which the first stage lacks."""
+    """stride-2 conv block -> attention -> C2f, which the first stage lacks.
+    Attention blocks keep SE's default reduction r = 16."""
 
     def __init__(self, c_in, spec: StageSpec, design: BackboneDesign, idx):
-        self.conv = ConvBlock(c_in, spec.out_channels, 3, f"stage{idx}/conv", stride=2)
-        self.attention = _make_attention(spec.attention, spec.out_channels, design.gate,
-                                         design.reduction, design.spatial_kernel,
-                                         name=f"stage{idx}/att")
-        self.c2f = C2f(spec.out_channels, f"stage{idx}/c2f") if idx > 0 else None
+        c, gate, name = spec.out_channels, design.gate, f"stage{idx}/att"
+        self.conv = ConvBlock(c_in, c, 3, f"stage{idx}/conv", stride=2)
+        self.attention = None
+        if spec.attention is AttentionKind.SE:
+            self.attention = SEBlock(c, gate=gate, name=name)
+        elif spec.attention is AttentionKind.CBAM:
+            self.attention = CBAMBlock(c, kernel_size=design.spatial_kernel, gate=gate, name=name)
+        self.c2f = C2f(c, f"stage{idx}/c2f") if idx > 0 else None
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         y = self.conv.forward(x, training)
@@ -270,9 +262,6 @@ class Backbone(Module):
             self.stages.append(st)
             c = spec.out_channels
 
-    def num_parameters(self) -> int:
-        return sum(p.value.size for p in self.parameters())
-
     def forward(self, x: Tensor4, training: bool = True) -> list[Tensor4]:
         if x.c != IN_CHANNELS:
             raise ShapeError(f"backbone expects {IN_CHANNELS} input channels, got {x.c}")
@@ -303,24 +292,3 @@ class Backbone(Module):
             raise ValueError("backward called with no gradients")
         return g
 
-
-def per_branch_attention(branches: list[Tensor4], kinds: list[AttentionKind],
-                         gate: GateKind = GateKind.RESIDUAL_TANH,
-                         reduction: int = 16, spatial_kernel: int = 7,
-                         seed: int = 0):
-    """Apply one dedicated attention block to each multi-resolution branch.
-
-    Shapes are unchanged; with the residual gate at identity-safe init the
-    whole operation is the identity, so downstream consumers need no changes.
-    Returns (outputs, modules).
-    """
-    if len(kinds) != len(branches):
-        raise ConfigError(f"{len(branches)} branches but {len(kinds)} attention kinds")
-    outs, modules = [], []
-    for i, (f, kind) in enumerate(zip(branches, kinds)):
-        mod = _make_attention(kind, f.c, gate, reduction, spatial_kernel, name=f"branch{i}/att")
-        if mod is not None:
-            f = mod.draw(np.random.default_rng([seed, i])).forward(f, training=False)
-        modules.append(mod)
-        outs.append(f)
-    return outs, modules

@@ -131,8 +131,10 @@ def cmd_augment_preview(args) -> int:
     for b in out.boxes:
         print(f"  ({b.x1:.1f}, {b.y1:.1f}, {b.x2:.1f}, {b.y2:.1f}) class {b.class_id}")
     if args.out is not None:
-        np.save(args.out, out.image.values)
-        save_annotations(str(args.out) + ".txt", out.boxes)
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        # an explicit suffix: np.save adds ".npy" only to a name that lacks it
+        np.save(f"{args.out}.npy", out.image.values)
+        save_annotations(f"{args.out}.txt", out.boxes)
         print(f"wrote {args.out}.npy and {args.out}.txt")
     return 0
 

@@ -187,9 +187,9 @@ def check_attention(kind: str, input_shape, gate: GateKind, seed: int = 0):
     rng = np.random.default_rng(seed)
     c = input_shape[1]
     if kind == "se":
-        module = SEBlock(c, reduction=4, gate=gate).draw(rng).cast(np.float64)
+        module = SEBlock(c, gate=gate).draw(rng).cast(np.float64)
     elif kind == "cbam":
-        module = CBAMBlock(c, reduction=4, kernel_size=3, gate=gate).draw(rng).cast(np.float64)
+        module = CBAMBlock(c, kernel_size=3, gate=gate).draw(rng).cast(np.float64)
     else:
         raise ValueError(f"unknown attention kind {kind!r}")
     for p in module.parameters():
@@ -206,7 +206,7 @@ def check_backbone(input_shape=(1, 3, 8, 8), seed: int = 0):
     """Gradcheck a 2-stage backbone (narrow channels for tractability)."""
     rng = np.random.default_rng(seed)
     design = build_design(5, gate=GateKind.RESIDUAL_TANH, ladder=(16, 32, 64, 128, 256),
-                         width_multiplier=0.25, reduction=4, spatial_kernel=3)
+                         width_multiplier=0.25, spatial_kernel=3)
     design.stages = design.stages[:2]
     bb = Backbone(design, seed=seed).cast(np.float64)
     # perturb every parameter away from the identity-safe zeros so all

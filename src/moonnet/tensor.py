@@ -131,9 +131,9 @@ class Buffer(Param):
 
 class Module:
     """Base of every layer.  ``parameters()``, ``named_tensors()``,
-    ``zero_grad()``, ``cast()`` and ``draw()`` walk the instance's ``Param``,
-    ``Buffer``, ``Module`` and list-of-``Module`` attributes in assignment
-    order, which is the checkpoint order.  Subclasses define ``forward(x, training)`` and
+    ``cast()`` and ``draw()`` walk the instance's ``Param``, ``Buffer``,
+    ``Module`` and list-of-``Module`` attributes in assignment order, which
+    is the checkpoint order.  Subclasses define ``forward(x, training)`` and
     ``backward(g)``, keeping what backward needs in ``self._tape`` in
     training only: an eval forward records no tape."""
 
@@ -156,10 +156,6 @@ class Module:
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         return [(p.name, p.value) for p in self._tensors()]
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
 
     def cast(self, dtype):
         """Recast every Param and Buffer to ``dtype`` in place and return the

@@ -12,7 +12,7 @@ from moonnet.attention import (
     GateKind,
     SEBlock,
     bottleneck_width,
-    gate_multiplier,
+    gate_tensor,
     identity_safe_init,
 )
 from moonnet.backbone import ConvBlock
@@ -35,25 +35,31 @@ def randomize(module, seed, scale=0.5):
         p.value[...] = scale * rng.standard_normal(p.value.shape)
 
 
-class TestGateMultiplier:
+def gate(kind, logit):
+    """The multiplier ``gate_tensor`` gives a float64 1x1x1x1 logit."""
+    mult, _ = gate_tensor(Tensor4(np.full((1, 1, 1, 1), logit, dtype=np.float64)), kind)
+    return float(mult.values[0, 0, 0, 0])
+
+
+class TestGateTensor:
     def test_residual_tanh_at_zero_is_one(self):
-        assert gate_multiplier(GateKind.RESIDUAL_TANH, 0.0) == 1.0
+        assert gate(GateKind.RESIDUAL_TANH, 0.0) == 1.0
 
     def test_sigmoid_at_zero_halves(self):
-        assert gate_multiplier(GateKind.SIGMOID_ORIGINAL, 0.0) == 0.5
+        assert gate(GateKind.SIGMOID_ORIGINAL, 0.0) == 0.5
 
     def test_residual_tanh_asymptotes(self):
-        assert gate_multiplier(GateKind.RESIDUAL_TANH, 50.0) == pytest.approx(2.0)
-        assert gate_multiplier(GateKind.RESIDUAL_TANH, -50.0) == pytest.approx(0.0, abs=1e-12)
+        assert gate(GateKind.RESIDUAL_TANH, 50.0) == pytest.approx(2.0)
+        assert gate(GateKind.RESIDUAL_TANH, -50.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_sigmoid_saturates_without_overflow(self):
-        assert 0.0 < gate_multiplier(GateKind.SIGMOID_ORIGINAL, -1000.0) < 1e-25
-        assert gate_multiplier(GateKind.SIGMOID_ORIGINAL, 1000.0) == 1.0
+        assert 0.0 < gate(GateKind.SIGMOID_ORIGINAL, -1000.0) < 1e-25
+        assert gate(GateKind.SIGMOID_ORIGINAL, 1000.0) == 1.0
 
     def test_ranges(self):
         for z in np.linspace(-10, 10, 41):
-            s = gate_multiplier(GateKind.SIGMOID_ORIGINAL, z)
-            r = gate_multiplier(GateKind.RESIDUAL_TANH, z)
+            s = gate(GateKind.SIGMOID_ORIGINAL, z)
+            r = gate(GateKind.RESIDUAL_TANH, z)
             assert 0.0 < s < 1.0
             assert 0.0 <= r < 2.0
 
@@ -332,7 +338,7 @@ class TestIdentitySafeInit:
         y = se.forward(x)
         assert np.array_equal(y.values, x.values)
         opt = SGD(se.parameters(), lr=0.1, momentum=0.0)
-        se.zero_grad()
+        opt.zero_grad()
         se.backward(np.ones_like(y.values))  # loss = sum of outputs
         opt.step()
         y2 = se.forward(x)

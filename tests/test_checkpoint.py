@@ -186,7 +186,7 @@ class TestCorruption:
         truncate the file.  The CRC is recomputed after each mutation, so
         every case reaches the parser."""
         design = build_design(5, gate=GateKind.RESIDUAL_TANH, ladder=(16, 32, 64, 128, 256),
-                              width_multiplier=0.25, reduction=4, spatial_kernel=3)
+                              width_multiplier=0.25, spatial_kernel=3)
         design.stages = design.stages[:2]
         tensors = Backbone(design, seed=0).named_tensors()
         p = tmp_path / "m.ckpt"

@@ -1,6 +1,6 @@
-"""The Module protocol: parameters, named tensors, zero_grad, cast and draw
-derived from a layer's attributes in assignment order, pinned to the
-checkpoint layout."""
+"""The Module protocol: parameters, named tensors, cast and draw derived
+from a layer's attributes in assignment order, pinned to the checkpoint
+layout."""
 
 import hashlib
 import inspect
@@ -67,15 +67,17 @@ def test_named_arrays_are_live():
 
 
 def test_zero_grad_clears_every_nested_grad():
+    """An SGD over a layer's ``parameters()`` clears every nested gradient
+    and no other."""
     model = PatchModel(ExperimentConfig())
     for p in model.parameters():
         p.grad = np.ones_like(p.value)
     stage = model.backbone.stages[1]
     for layer in (stage.c2f.block.cv1, stage.c2f.block, stage.c2f, stage):
-        layer.zero_grad()
+        SGD(layer.parameters(), lr=0.1).zero_grad()
         assert all(p.grad is None for p in layer.parameters())
     assert all(p.grad.all() for p in model.backbone.stages[2].parameters())
-    model.zero_grad()
+    SGD(model.parameters(), lr=0.1).zero_grad()
     assert all(p.grad is None for p in model.parameters())
 
 
@@ -92,7 +94,7 @@ def test_backward_gives_every_parameter_a_gradient_of_its_dtype():
     model = PatchModel(ExperimentConfig())
     task = SyntheticPatchTask(64)
     x, _, _ = task.batch([0, 1])
-    model.zero_grad()
+    SGD(model.parameters(), lr=0.1).zero_grad()
     model.backward(np.ones_like(model.forward(x, training=True)))
     assert all(p.grad.dtype == p.value.dtype and p.grad.shape == p.value.shape
                for p in model.parameters())

@@ -13,7 +13,7 @@ import pytest
 
 import moonnet
 from moonnet.attention import GateKind
-from moonnet.augment import AugmentPackage
+from moonnet.augment import AugmentPackage, load_annotations
 from moonnet.checkpoint import (META_PREFIX, CheckpointError, bytes_to_tensor,
                                 load_checkpoint, save_checkpoint)
 from moonnet.cli import main as cli_main
@@ -840,6 +840,18 @@ class TestCli:
         assert rc == 0
         assert "boxes in" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("out, written", [("a/b/img", ["img.npy", "img.txt"]),
+                                              ("x.npy", ["x.npy.npy", "x.npy.txt"])],
+                             ids=["fresh-nested-dir", "npy-suffix"])
+    def test_augment_preview_writes_the_files_it_prints(self, tmp_path, capsys, out, written):
+        out = tmp_path / out
+        rc = cli_main(["augment-preview", "--out", str(out)])
+        assert rc == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == written
+        assert capsys.readouterr().out.endswith(f"wrote {out}.npy and {out}.txt\n")
+        assert np.load(f"{out}.npy").shape == (1, 3, 64, 64)
+        assert load_annotations(f"{out}.txt")
+
     @pytest.mark.parametrize("argv", [
         ["train", "--config", "{dir}"],
         ["train", "--config", "{latin1}"],
@@ -852,9 +864,11 @@ class TestCli:
         ["evaluate", "--gt", "{ann}", "--preds", "{orphan_dir}"],
         ["evaluate", "--gt", "{empty_dir}", "--preds", "{ann}"],
         ["evaluate", "--gt", "{difficult_dir}", "--preds", "{ann}"],
+        ["augment-preview", "--out", "{latin1}/img"],
     ], ids=["config-is-dir", "config-not-utf8", "stats-not-utf8", "evaluate-not-utf8",
             "train-out-is-file", "evaluate-out-is-dir", "lr-nan", "lr-inf",
-            "evaluate-orphan-pred", "evaluate-gt-no-box", "evaluate-gt-all-difficult"])
+            "evaluate-orphan-pred", "evaluate-gt-no-box", "evaluate-gt-all-difficult",
+            "augment-preview-out-under-file"])
     def test_file_and_value_errors_exit_one(self, tmp_path, capsys, argv):
         paths = {"dir": tmp_path, "latin1": tmp_path / "l1.txt",
                  "latin1_dir": tmp_path / "l1", "ann": tmp_path / "ann",
