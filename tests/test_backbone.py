@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from moonnet.attention import GateKind
+from moonnet.attention import GateKind, bottleneck_width
 from moonnet.backbone import (
     AttentionKind,
     Backbone,
@@ -114,6 +114,18 @@ class TestBackboneForward:
                       Backbone(build_design(i, 1.0, ladder=ladder), seed=0).parameters())
                   for i in (0, 1, 2)]
         assert counts[0] < counts[1] < counts[2]
+
+    @pytest.mark.parametrize("design_id", [1, 2, 3, 4, 5, 6])
+    def test_attention_blocks_keep_the_default_reduction(self, design_id):
+        # every block a built backbone holds uses SE's r = 16 bottleneck
+        bb = Backbone(build_design(design_id, 0.25), seed=None)
+        blocks = [(st.attention, spec) for st, spec in
+                  zip(bb.stages, build_design(design_id, 0.25).stages)]
+        for block, spec in blocks:
+            assert (block is None) == (spec.attention is AttentionKind.NONE)
+            if block is not None:
+                assert block.m == bottleneck_width(spec.out_channels, 16)
+        assert any(block is not None for block, _ in blocks)
 
 
 class TestBackboneBackward:
