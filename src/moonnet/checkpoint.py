@@ -12,8 +12,8 @@ Layout (all little-endian):
     u32       CRC32 of every preceding byte
 
 Only float32 tensors are saved; any other dtype raises CheckpointError
-rather than being rounded to float32 on the way out.  Loaded tensors are
-read-only views of the file's bytes.
+rather than being rounded to float32 on the way out.  A load reads each
+tensor from the file straight into the array that keeps it.
 
 Arbitrary metadata (config echo, RNG state) rides along as byte blobs
 packed into float32 tensors with a length prefix, so round-trips are
@@ -22,6 +22,7 @@ byte-exact.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -38,6 +39,7 @@ __all__ = [
     "TruncatedError",
     "save_checkpoint",
     "load_checkpoint",
+    "CheckpointReader",
     "bytes_to_tensor",
     "tensor_to_bytes",
     "META_PREFIX",
@@ -115,48 +117,82 @@ def save_checkpoint(tensors: list[tuple[str, np.ndarray]], path):
         raise
 
 
-def load_checkpoint(path) -> list[tuple[str, np.ndarray]]:
-    """Read named tensors back as read-only views of the file's bytes, so a
-    caller copies each one at most once, into its own storage.  Raises
-    distinct errors for bad magic, CRC mismatch, and truncation."""
-    data = Path(path).read_bytes()
-    if len(data) < len(MAGIC) + 8:
-        raise TruncatedError(f"{path}: file too short ({len(data)} bytes)")
-    if data[:len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {data[:len(MAGIC)]!r}")
-    # slices of a memoryview share the file's bytes instead of copying them
-    body = memoryview(data)[:-4]
-    (crc_stored,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise CrcMismatchError(f"{path}: CRC mismatch")
+class CheckpointReader(contextlib.AbstractContextManager):
+    """One pass over an open checkpoint file: ``header()`` gives the next
+    tensor's name and shape (None after the last), then ``read(into=None)``
+    reads its values straight into ``into``, a C-contiguous float32 array, or
+    a new array.  Lengths are checked before anything is allocated and the CRC
+    after the last tensor; a CheckpointError raised in the ``with`` block
+    becomes CrcMismatchError if the CRC is wrong."""
 
-    off = len(MAGIC)
+    def __init__(self, f):
+        self.f, self.path, self.names = f, f.name, set()
+        self.left, self.crc = os.fstat(f.fileno()).st_size - 4, 0
+        if (magic := self._take(len(MAGIC))) != MAGIC:
+            raise BadMagicError(f"{self.path}: bad magic {magic!r}")
+        (self.count,) = struct.unpack("<I", self._take(4))
+        f.seek(-4, os.SEEK_END)
+        (self.stored_crc,) = struct.unpack("<I", f.read(4))
+        f.seek(len(MAGIC) + 4)
 
-    def take(n):
-        nonlocal off
-        if off + n > len(body):
-            raise TruncatedError(f"{path}: truncated at offset {off}")
-        chunk = body[off:off + n]
-        off += n
-        return chunk
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, CheckpointError) and not isinstance(exc, CrcMismatchError):
+            self._check_crc()
 
-    (count,) = struct.unpack("<I", take(4))
-    tensors = []
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        raw_name = bytes(take(name_len))
+    def _check_crc(self):
+        while self.left:  # fold in the bytes not read yet
+            self._take(min(self.left, 1 << 16))
+        if self.crc != self.stored_crc:
+            raise CrcMismatchError(f"{self.path}: CRC mismatch") from None
+
+    def _take(self, n: int) -> bytes:
+        if n > self.left:
+            raise TruncatedError(f"{self.path}: truncated at offset {self.f.tell()}")
+        data = self.f.read(n)
+        self.left -= n
+        self.crc = zlib.crc32(data, self.crc)
+        return data
+
+    def header(self) -> tuple[str, tuple[int, ...]] | None:
+        if len(self.names) == self.count:
+            if self.left:
+                raise TruncatedError(f"{self.path}: {self.left} trailing bytes")
+            self._check_crc()
+            return None
+        (name_len,) = struct.unpack("<H", self._take(2))
+        raw_name = self._take(name_len)
         try:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: tensor {len(tensors)} has a non-UTF-8 name "
+            raise CheckpointError(f"{self.path}: tensor {len(self.names)} has a non-UTF-8 name "
                                   f"{raw_name!r}") from None
-        (rank,) = struct.unpack("<B", take(1))
-        dims = [struct.unpack("<I", take(4))[0] for _ in range(rank)]
-        values = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")
-        try:
-            tensors.append((name, values.reshape(dims)))
-        except ValueError as e:  # rank above NumPy's limit, or too many elements
-            raise CheckpointError(f"{path}: tensor {name!r} of rank {rank}: {e}") from None
-    if off != len(body):
-        raise TruncatedError(f"{path}: {len(body) - off} trailing bytes")
-    return tensors
+        if name in self.names:
+            raise CheckpointError(f"{self.path}: duplicate tensor {name!r}")
+        self.names.add(name)
+        (rank,) = struct.unpack("<B", self._take(1))
+        self.name, self.shape = name, struct.unpack(f"<{rank}I", self._take(4 * rank))
+        if 4 * math.prod(self.shape) > self.left:
+            raise TruncatedError(f"{self.path}: tensor {name!r} of shape {self.shape} is cut off")
+        return name, self.shape
+
+    def read(self, into: np.ndarray | None = None) -> np.ndarray:
+        if into is None:
+            try:
+                into = np.empty(self.shape, dtype="<f4")
+            except ValueError as e:  # rank above NumPy's limit, or too many elements
+                raise CheckpointError(f"{self.path}: tensor {self.name!r} of rank "
+                                      f"{len(self.shape)}: {e}") from None
+        if into.shape != self.shape:
+            raise CheckpointError(f"{self.path}: tensor {self.name!r} has shape {self.shape}, "
+                                  f"where {into.shape} is expected")
+        raw = into.ravel().view(np.uint8)  # a view, as ``into`` is C-contiguous
+        self.left -= self.f.readinto(raw)
+        self.crc = zlib.crc32(raw, self.crc)
+        return into
+
+
+def load_checkpoint(path) -> list[tuple[str, np.ndarray]]:
+    """Read every named tensor into a new array, in file order.  Raises
+    distinct errors for bad magic, CRC mismatch, and truncation."""
+    with open(path, "rb") as f, CheckpointReader(f) as r:
+        return [(name, r.read()) for name, _ in iter(r.header, None)]

@@ -100,11 +100,13 @@ class Param:
     def draw(self, rng: np.random.Generator):
         """The package's one weight draw: float32 uniform in
         [-1/sqrt(fan_in), 1/sqrt(fan_in)), written into ``value``; a Param
-        without a ``fan_in`` is left as it is."""
+        without a ``fan_in`` is left as it is.  Parts of 2^16 values, each
+        rounded to float32 before it is written, continue one stream."""
         if self.fan_in is not None:
             bound = 1.0 / np.sqrt(self.fan_in)
-            self.value[...] = rng.uniform(-bound, bound,
-                                          size=self.value.shape).astype(np.float32)
+            flat = self.value.reshape(-1)  # a view: every value array is C-contiguous
+            for part in np.split(flat, range(1 << 16, flat.size, 1 << 16)):
+                part[...] = rng.uniform(-bound, bound, size=part.size).astype(np.float32)
 
     def zero_grad(self):
         self.grad = None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .augment import AugmentPackage, BBox, LabeledImage, apply_package
 from .backbone import DESIGN_ATTENTION, AttentionKind, Backbone, ConfigError, build_design
-from .checkpoint import (META_PREFIX, CheckpointError, bytes_to_tensor, load_checkpoint,
+from .checkpoint import (META_PREFIX, CheckpointError, CheckpointReader, bytes_to_tensor,
                          save_checkpoint, tensor_to_bytes)
 from .config import ExperimentConfig, parse_config_text, set_field
 from .metrics import EvalResult, evaluate
@@ -294,37 +294,36 @@ def save_model_checkpoint(model: PatchModel, cfg: ExperimentConfig, path,
 
 
 def load_model_checkpoint(path) -> tuple[PatchModel, ExperimentConfig, dict]:
-    """Rebuild the model a checkpoint was saved from.  The model is built
-    without drawing weights, and each tensor is copied once, from a view of
-    the file's bytes into the model.  Raises CheckpointError naming the
-    tensor when one is missing, has the wrong shape, or is not part of the
-    model, so no checkpoint of another layout loads in part."""
-    by_name = dict(load_checkpoint(path))
+    """Rebuild the model a checkpoint was saved from, in one pass over the
+    file: the metadata, then a model built without drawing weights, then each
+    tensor, in the order saved, read straight into the model.  Raises
+    CheckpointError naming the tensor when one is missing, has the wrong
+    shape, or is not part of the model, so no other layout loads in part."""
+    with open(path, "rb") as f, CheckpointReader(f) as r:
+        def take(name, into=None):
+            found = r.header()
+            if found is None:
+                raise CheckpointError(f"{path}: missing tensor {name!r}")
+            if found[0] != name:
+                raise CheckpointError(f"{path}: missing tensor {name!r}, unexpected tensor "
+                                      f"{found[0]!r} in its place")
+            return r.read(into)
 
-    def take(name):
-        if name not in by_name:
-            raise CheckpointError(f"{path}: missing tensor {name!r}")
-        return by_name.pop(name)
+        def meta(key, parse):
+            name = META_PREFIX + key
+            blob = take(name)
+            try:
+                return parse(tensor_to_bytes(blob).decode("utf-8"))
+            except (CheckpointError, ValueError) as e:  # ConfigError and decode errors too
+                raise CheckpointError(f"{path}: tensor {name!r}: {e}") from None
 
-    def meta(key, parse):
-        name = META_PREFIX + key
-        blob = take(name)
-        try:
-            return parse(tensor_to_bytes(blob).decode("utf-8"))
-        except (CheckpointError, ValueError) as e:  # ConfigError and decode errors too
-            raise CheckpointError(f"{path}: tensor {name!r}: {e}") from None
-
-    cfg = meta("config", lambda text: parse_config_text(text).validate())
-    rng_state = meta("rng", json.loads)
-    model = PatchModel(cfg, draw=False)
-    for name, arr in model.named_tensors():
-        value = take(name)
-        if value.shape != arr.shape:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {value.shape}, "
-                                  f"the model expects {arr.shape}")
-        arr[...] = value
-    if by_name:
-        raise CheckpointError(f"{path}: unexpected tensor {next(iter(by_name))!r}")
+        cfg = meta("config", lambda text: parse_config_text(text).validate())
+        rng_state = meta("rng", json.loads)
+        model = PatchModel(cfg, draw=False)
+        for name, arr in model.named_tensors():
+            take(name, arr)
+        if (extra := r.header()) is not None:
+            raise CheckpointError(f"{path}: unexpected tensor {extra[0]!r}")
     return model, cfg, rng_state
 
 

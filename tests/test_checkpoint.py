@@ -1,6 +1,7 @@
 """Checkpoint binary format tests: byte layout, round trips, corruption."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -10,6 +11,7 @@ from moonnet.attention import GateKind
 from moonnet.backbone import Backbone, build_design
 from moonnet.checkpoint import (
     MAGIC,
+    META_PREFIX,
     BadMagicError,
     CheckpointError,
     CrcMismatchError,
@@ -19,6 +21,29 @@ from moonnet.checkpoint import (
     save_checkpoint,
     tensor_to_bytes,
 )
+from moonnet.config import ExperimentConfig
+from moonnet.train import PatchModel, load_model_checkpoint, save_model_checkpoint
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def header_offsets(tensors):
+    """The file offsets of the count field and of every record's name
+    length, name, rank and dims, for a checkpoint of ``tensors``."""
+    offsets, off = list(range(len(MAGIC), len(MAGIC) + 4)), len(MAGIC) + 4
+    for name, arr in tensors:
+        n = 3 + len(name.encode()) + 4 * arr.ndim
+        offsets += range(off, off + n)
+        off += n + 4 * arr.size
+    return offsets
 
 
 def sample_tensors(seed=0):
@@ -81,14 +106,16 @@ class TestRoundTrip:
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_loaded_tensors_are_read_only_views(self, tmp_path):
-        # a load copies nothing, so a caller copies each tensor once
-        p = tmp_path / "a.ckpt"
-        save_checkpoint(sample_tensors(), p)
-        for _, arr in load_checkpoint(p):
-            assert not arr.flags.writeable and not arr.flags.owndata
-            with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 0.0
+    def test_model_load_copies_each_tensor_once(self, tmp_path):
+        # the default model's tensors are read from the file straight into
+        # the model: no buffer of the whole file is held beside them
+        cfg = ExperimentConfig()
+        p = tmp_path / "m.ckpt"
+        save_model_checkpoint(PatchModel(cfg), cfg, p)
+        (model, _, _), peak = traced_peak(load_model_checkpoint, p)
+        nbytes = sum(a.nbytes for _, a in model.named_tensors())
+        assert nbytes > 10_000_000
+        assert peak <= 1.05 * nbytes, peak / nbytes
 
     def test_scalar_rank_zero(self, tmp_path):
         p = tmp_path / "s.ckpt"
@@ -215,6 +242,75 @@ class TestCorruption:
         for exc in (BadMagicError, CrcMismatchError, TruncatedError):
             assert issubclass(exc, CheckpointError)
             assert issubclass(exc, IOError)
+
+
+class TestModelCheckpointCorruption:
+    """Corruption of a tiny model's checkpoint, read by ``load_model_checkpoint``."""
+
+    CFG = ExperimentConfig(width=0.0625, batch=2)
+
+    def _saved(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_model_checkpoint(PatchModel(self.CFG), self.CFG, p)
+        return p, load_checkpoint(p)
+
+    def test_flipped_header_byte_is_crc_mismatch(self, tmp_path):
+        """A sample of single header-byte flips, the count field's among them,
+        with the CRC left as it was: each is reported as corruption, even
+        where the parser or the model check fails first."""
+        p, tensors = self._saved(tmp_path)
+        data = p.read_bytes()
+        offsets = header_offsets(tensors)
+        rng = np.random.default_rng(0)
+        for i in offsets[:4] + list(rng.choice(offsets[4:], size=300, replace=False)):
+            flipped = bytearray(data)
+            flipped[i] ^= int(rng.integers(1, 256))
+            p.write_bytes(bytes(flipped))
+            with pytest.raises(CrcMismatchError):
+                load_model_checkpoint(p)
+
+    def test_dims_past_the_end_is_truncated_before_any_allocation(self, tmp_path):
+        """The config blob's dims claim 2^30 float32 values (4 GiB), more than
+        the file holds: TruncatedError, with nothing of that size allocated."""
+        p, _ = self._saved(tmp_path)
+        body = bytearray(p.read_bytes()[:-4])
+        dims_at = len(MAGIC) + 4 + 2 + len(META_PREFIX + "config") + 1
+        struct.pack_into("<I", body, dims_at, 2**30)
+        p.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
+        def load_fails():
+            with pytest.raises(TruncatedError, match="tensor '__meta__/config' of shape"):
+                load_model_checkpoint(p)
+
+        _, peak = traced_peak(load_fails)
+        assert peak < 1_000_000
+
+    def test_duplicate_tensor_is_one_line_checkpoint_error(self, tmp_path):
+        p, tensors = self._saved(tmp_path)
+        save_checkpoint(tensors + tensors[-1:], p)
+        for load in (load_model_checkpoint, load_checkpoint):
+            with pytest.raises(CheckpointError, match=r"^[^\n]*duplicate tensor 'head/bias'$"):
+                load(p)
+
+    def test_fuzzed_header_or_truncation_loads_or_raises_checkpoint_error(self, tmp_path):
+        """As the format-level fuzz above, through the model loader: one or two
+        header bytes flipped, or the file truncated, with the CRC recomputed."""
+        p, tensors = self._saved(tmp_path)
+        body = p.read_bytes()[:-4]
+        offsets = header_offsets(tensors)
+        rng = np.random.default_rng(0)
+        for case in range(500):
+            data = bytearray(body)
+            if case % 2:
+                data = data[:rng.integers(len(data))]
+            else:
+                for i in rng.choice(offsets, size=rng.integers(1, 3)):
+                    data[i] ^= int(rng.integers(1, 256))
+            p.write_bytes(bytes(data) + struct.pack("<I", zlib.crc32(data)))
+            try:
+                load_model_checkpoint(p)
+            except CheckpointError:
+                pass
 
 
 class TestMetadataBlobs:

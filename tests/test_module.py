@@ -4,8 +4,10 @@ layout."""
 
 import hashlib
 import inspect
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from moonnet import attention, backbone, train
 from moonnet.config import ExperimentConfig
@@ -170,6 +172,32 @@ def test_draw_walks_the_drawn_params_in_checkpoint_order():
         assert kid.w.value.tobytes() == rng.uniform(-0.5, 0.5, (2, 3)).astype(np.float32).tobytes()
         assert np.array_equal(kid.b.value, np.ones(2))
     assert np.array_equal(tree.stat.value, np.ones(2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 5), (4, 2**14), (9, 2**14 + 3)])  # 1, 1 and 3 chunks
+def test_chunked_draw_is_a_single_draw(shape, dtype):
+    """Param.draw draws 2^16 values at a time: the bits are those of one draw
+    of the whole weight, rounded to float32, in a float32 or float64 value."""
+    p = Param("w", np.zeros(shape, dtype=dtype), fan_in=9)
+    p.draw(np.random.default_rng(7))
+    whole = np.random.default_rng(7).uniform(-1 / 3, 1 / 3, size=shape).astype(np.float32)
+    assert p.value.dtype == dtype
+    assert p.value.tobytes() == whole.astype(dtype).tobytes()
+
+
+def test_build_holds_one_copy_of_the_weights():
+    # the draw writes each chunk into the weight, so building the default
+    # model holds no second, float64 copy of a weight
+    tracemalloc.start()
+    try:
+        model = PatchModel(ExperimentConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(a.nbytes for _, a in model.named_tensors())
+    assert nbytes > 10_000_000
+    assert peak <= 1.1 * nbytes, peak / nbytes
 
 
 def test_cast_recasts_every_tensor_and_keeps_the_layout():
