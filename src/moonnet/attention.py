@@ -121,7 +121,7 @@ class SEBlock(Module):
         return y
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        return self._channel_gate_backward(self._tape, g)
+        return self._channel_gate_backward(self._pop_tape(), g)
 
 
 class CBAMBlock(SEBlock):
@@ -162,7 +162,7 @@ class CBAMBlock(SEBlock):
         return y
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        tape_c, bw_ravg, bw_rmax, bw_cat, bw_conv, bw_gate_s, bw_mul_s = self._tape
+        tape_c, bw_ravg, bw_rmax, bw_cat, bw_conv, bw_gate_s, bw_mul_s = self._pop_tape()
         gxc, gmult_s = bw_mul_s(g)
         (gzs,) = bw_gate_s(gmult_s)
         gf, gsk, gsb = bw_conv(gzs)

@@ -152,7 +152,7 @@ class ConvBlock(Module):
         return y
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        bw_conv, bw_bn, bw_act = self._tape
+        bw_conv, bw_bn, bw_act = self._pop_tape()
         (g,) = bw_act(g)
         g, ggamma, gbeta = bw_bn(g)
         self.gamma.add_grad(ggamma)
@@ -178,7 +178,7 @@ class Bottleneck(Module):
         return out
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        gx, gy = self._tape(g)
+        gx, gy = self._pop_tape()(g)
         gy = self.cv2.backward(gy)
         gy = self.cv1.backward(gy)
         return gx + gy
@@ -204,7 +204,7 @@ class C2f(Module):
         return self.cv2.forward(y, training)
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        bw_split, bw_cat = self._tape
+        bw_split, bw_cat = self._pop_tape()
         g = self.cv2.backward(g)
         ga, gb = bw_cat(g)
         gb = self.block.backward(gb)

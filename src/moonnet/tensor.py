@@ -137,7 +137,10 @@ class Module:
     ``Module`` and list-of-``Module`` attributes in assignment order, which
     is the checkpoint order.  Subclasses define ``forward(x, training)`` and
     ``backward(g)``, keeping what backward needs in ``self._tape`` in
-    training only: an eval forward records no tape."""
+    training only: an eval forward records no tape.  A tape lives from a
+    training forward to the one backward that consumes it: ``backward``
+    takes it with ``_pop_tape``, so its saved arrays are freed as soon as
+    that backward returns."""
 
     def _members(self):
         for v in vars(self).values():
@@ -166,6 +169,13 @@ class Module:
         for p in self._tensors():
             p.value = p.value.astype(dtype)
         return self
+
+    def _pop_tape(self):
+        """The tape of the last training forward, which this call consumes."""
+        tape, self._tape = self._tape, None
+        if tape is None:
+            raise RuntimeError(f"{type(self).__name__}.backward needs a training forward first")
+        return tape
 
     def draw(self, rng: np.random.Generator):
         """Draw every Param that has a ``fan_in`` from ``rng``, in checkpoint
@@ -336,6 +346,8 @@ def conv2d(x: Tensor4, kernel: np.ndarray, b: np.ndarray | None, stride: int = 1
     for i, j, win in taps:
         Mt[:, i, j] = xp[win].transpose(1, 0, 2, 3)
     Mt = Mt.reshape(c * k * k, n * ho * wo)
+    # the backward keeps the padded shape only, not the padded copy
+    xp_shape = xp.shape
     Km = kernel.reshape(c_out, c * k * k)
     out = (Km @ Mt).reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3)
     if b is not None:
@@ -348,7 +360,7 @@ def conv2d(x: Tensor4, kernel: np.ndarray, b: np.ndarray | None, stride: int = 1
         # np.dot: for c_out = 1 this is an outer product, which matmul runs
         # about 4x slower than dot's BLAS call
         g_cols = np.dot(Km.T, g2).reshape(c, k, k, n, ho, wo)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros(xp_shape, dtype=Mt.dtype)
         for i, j, win in taps:
             gxp[win] += g_cols[:, i, j].transpose(1, 0, 2, 3)
         gx = gxp[:, :, pad:pad + h, pad:pad + w] if pad else gxp

@@ -162,7 +162,7 @@ class PatchModel(Module):
         return logits.values
 
     def backward(self, g_logits: np.ndarray):
-        n_stages, bw_head = self._tape
+        n_stages, bw_head = self._pop_tape()
         g_last, gw, gb = bw_head(g_logits)
         self.head_w.add_grad(gw)
         self.head_b.add_grad(gb)
@@ -276,20 +276,23 @@ def train(cfg: ExperimentConfig, out_dir=None, target_accuracy: float | None = N
 # checkpoint glue
 # ---------------------------------------------------------------------------
 
-def _rng_state_bytes(rng: np.random.Generator | None) -> bytes:
-    if rng is None:
-        return b"{}"
-    state = rng.bit_generator.state
+def _rng_state_bytes(rng: np.random.Generator | dict | None) -> bytes:
+    """A Generator's state, or a state dict as ``load_model_checkpoint``
+    returns it, as JSON; None is ``{}``."""
+    state = rng.bit_generator.state if isinstance(rng, np.random.Generator) else rng or {}
     return json.dumps(state, default=str, sort_keys=True).encode()
 
 
-def _meta_tensors(cfg: ExperimentConfig, rng: np.random.Generator | None):
+def _meta_tensors(cfg: ExperimentConfig, rng: np.random.Generator | dict | None):
     return [(META_PREFIX + "config", bytes_to_tensor(cfg.to_text().encode())),
             (META_PREFIX + "rng", bytes_to_tensor(_rng_state_bytes(rng)))]
 
 
 def save_model_checkpoint(model: PatchModel, cfg: ExperimentConfig, path,
-                          rng: np.random.Generator | None = None):
+                          rng: np.random.Generator | dict | None = None):
+    """Write ``model`` with ``cfg`` and ``rng``, a Generator or the state dict
+    that ``load_model_checkpoint`` returns, so a load then a save of that
+    dict re-writes the file byte for byte."""
     save_checkpoint(_meta_tensors(cfg, rng) + model.named_tensors(), path)
 
 

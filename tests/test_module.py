@@ -119,6 +119,45 @@ def test_only_training_forwards_keep_a_tape():
     assert all(m._tape is not None for m in taped)
     model.forward(x, training=False)
     assert all(m._tape is None for m in taped)
+    # a backward consumes the tape of the training forward before it
+    model.backward(np.ones_like(model.forward(x, training=True)))
+    assert all(m._tape is None for m in taped)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_backward_without_a_tape_raises_one_line(training):
+    model = PatchModel(ExperimentConfig())
+    x = SyntheticPatchTask(64).sample(0).image
+    g = np.ones_like(model.forward(x, training=training))
+    if training:
+        model.backward(g)  # consumes the tape; a second backward has none
+    with pytest.raises(RuntimeError) as e:
+        model.backward(g)
+    assert str(e.value) == "PatchModel.backward needs a training forward first"
+    with pytest.raises(RuntimeError, match=r"^ConvBlock\.backward needs a training forward"):
+        model.backbone.stages[0].conv.backward(np.ones((1, 32, 32, 32), dtype=np.float32))
+
+
+@pytest.mark.parametrize("size", [64, 128])
+def test_backward_frees_the_tape_as_it_goes(size):
+    """Once backward has run, the model holds its gradients and nothing
+    else, and no point of the backward holds more than the forward's tape
+    plus the gradients."""
+    model = PatchModel(ExperimentConfig(input_size=size))
+    x, labels, _ = SyntheticPatchTask(size).batch(range(4))
+    tracemalloc.start()
+    try:
+        logits = model.forward(x, training=True)
+        g = bce_with_logits(logits, labels)[1]
+        tape = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model.backward(g)  # the input gradient is dropped at once
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grads = sum(p.grad.nbytes for p in model.parameters())
+    assert after <= 1.05 * grads, after / grads
+    assert peak <= tape + grads, peak / (tape + grads)
 
 
 def test_no_layer_writes_a_protocol_method():

@@ -1,5 +1,6 @@
 """Tensor-core operator tests against straight-line scalar oracles."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -200,6 +201,24 @@ class TestConv2d:
         with pytest.raises(ShapeError):  # channel mismatch
             T.conv2d(x, np.zeros((1, 2, 3, 3), dtype=np.float32),
                      np.zeros(1, dtype=np.float32))
+
+    def test_backward_keeps_no_padded_copy(self):
+        """What a padded conv's backward keeps past the call is the im2col
+        columns, not a padded copy of the input."""
+        x = t4(np.random.default_rng(0).normal(size=(2, 8, 32, 32)))
+        kernel = np.ones((4, 8, 3, 3), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out, backward = T.conv2d(x, kernel, None, pad=1)
+            del out
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        cols = 8 * 9 * 2 * 32 * 32 * 4
+        padded = 2 * 8 * 34 * 34 * 4
+        assert cols <= held < cols + padded // 2, (held, cols, padded)
+        gx, gk, _ = backward(np.ones((2, 4, 32, 32), dtype=np.float32))
+        assert gx.shape == x.shape and gk.shape == kernel.shape
 
 
 def _row_major_im2col_conv2d(x, kernel, b, stride, pad):

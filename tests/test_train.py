@@ -365,6 +365,19 @@ class TestCheckpointGlue:
         _, _, state = load_model_checkpoint(tmp_path / "final.ckpt")
         assert "state" in state or state == {}
 
+    def test_loaded_rng_state_re_saves_byte_for_byte(self, tmp_path):
+        """The state dict a load returns is a valid ``rng`` for a save, so a
+        CLI run's files re-save unchanged; a checkpoint saved without a
+        generator loads ``{}``, which re-saves as ``{}``."""
+        train(tiny_cfg(), out_dir=tmp_path)
+        save_model_checkpoint(PatchModel(tiny_cfg()), tiny_cfg(), tmp_path / "bare.ckpt")
+        resaved = tmp_path / "resaved.ckpt"
+        for name, drawn in (("final.ckpt", True), ("best.ckpt", True), ("bare.ckpt", False)):
+            model, cfg, rng_state = load_model_checkpoint(tmp_path / name)
+            assert (rng_state != {}) is drawn
+            save_model_checkpoint(model, cfg, resaved, rng=rng_state)
+            assert resaved.read_bytes() == (tmp_path / name).read_bytes(), name
+
     @staticmethod
     def _rewritten(tmp_path, edit):
         """A saved tiny model's checkpoint with its tensor list passed through edit."""
