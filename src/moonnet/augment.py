@@ -124,9 +124,9 @@ def rotate90(li: LabeledImage, quarter_turns: int) -> LabeledImage:
 
 
 def photometric(li: LabeledImage, brightness: float = 0.0, contrast: float = 1.0,
-                noise_sigma: float = 0.0,
-                rng: np.random.Generator | None = None) -> LabeledImage:
-    """Contrast about 0.5, brightness shift, Gaussian noise, clamp to [0, 1].
+                noise_sigma: float = 0.0, *, rng: np.random.Generator) -> LabeledImage:
+    """Contrast about 0.5, brightness shift, Gaussian noise drawn from
+    ``rng``, clamp to [0, 1].
 
     Boxes are never touched by photometric ops.
     """
@@ -135,8 +135,6 @@ def photometric(li: LabeledImage, brightness: float = 0.0, contrast: float = 1.0
     v = li.image.values
     out = contrast * (v - 0.5) + 0.5 + brightness
     if noise_sigma > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(0)
         out = out + rng.normal(0.0, noise_sigma, size=out.shape).astype(v.dtype)
     out = np.clip(out, 0.0, 1.0).astype(v.dtype)
     return LabeledImage(Tensor4(out), [replace(b) for b in li.boxes])

@@ -219,11 +219,13 @@ def main(argv=None) -> int:
         # a diverging run overflows on its way to TrainingDiverged: one line, no warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (ConfigError, AnnotationError) as e:
+    # ConfigError and AnnotationError, and NumPy's "array is too big" for an
+    # impossible size
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     # CheckpointError is an OSError, so this clause must come before the next
-    except (TrainingDiverged, CheckpointError, RuntimeError) as e:
+    except (TrainingDiverged, CheckpointError, RuntimeError, MemoryError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
     except OSError as e:

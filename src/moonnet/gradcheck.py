@@ -124,7 +124,7 @@ def _case(rng, name, f, inputs, params=()):
     else:
         raise RuntimeError("could not draw a kink-free configuration")
     for p in params:
-        p.zero_grad()
+        p.grad = None
     *_, backward = f(*xs.values())
     analytic = dict(zip(xs, backward(*ws)))
     analytic.update((p.name, p.grad.copy()) for p in params)

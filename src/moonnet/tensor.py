@@ -86,8 +86,9 @@ class Tensor4:
 
 class Param:
     """Named learnable array and its accumulated gradient, None until the
-    first ``add_grad`` of a backward.  A Param with a ``fan_in`` is a drawn
-    weight: it is built zero and ``draw`` fills it."""
+    first ``add_grad`` of a backward and again once ``SGD.step`` has applied
+    it.  A Param with a ``fan_in`` is a drawn weight: it is built zero and
+    ``draw`` fills it."""
 
     __slots__ = ("name", "value", "grad", "fan_in")
 
@@ -107,9 +108,6 @@ class Param:
             flat = self.value.reshape(-1)  # a view: every value array is C-contiguous
             for part in np.split(flat, range(1 << 16, flat.size, 1 << 16)):
                 part[...] = rng.uniform(-bound, bound, size=part.size).astype(np.float32)
-
-    def zero_grad(self):
-        self.grad = None
 
     def add_grad(self, g):
         # the first gradient is taken by reference: every caller passes a

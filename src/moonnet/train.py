@@ -24,7 +24,6 @@ from .metrics import EvalResult, evaluate
 from .tensor import Module, Param, Tensor4, clipped_sigmoid, conv2d
 
 __all__ = [
-    "sgd_step",
     "SGD",
     "SyntheticPatchTask",
     "PatchModel",
@@ -43,17 +42,6 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss becomes non-finite."""
 
 
-def sgd_step(theta: np.ndarray, grad: np.ndarray | None, velocity: np.ndarray,
-             lr: float, momentum: float) -> np.ndarray:
-    """One SGD-with-momentum update, in place: v <- m*v + g; theta <- theta - lr*v.
-    A None gradient is zero."""
-    velocity *= momentum
-    if grad is not None:
-        velocity += grad
-    theta -= lr * velocity
-    return theta
-
-
 class SGD:
     def __init__(self, params: list[Param], lr: float, momentum: float = 0.9):
         self.params = params
@@ -62,12 +50,20 @@ class SGD:
         self.velocities = [np.zeros_like(p.value) for p in params]
 
     def step(self):
+        """One SGD-with-momentum update of each parameter, in place:
+        v <- m*v + g; theta <- theta - lr*v, where a None gradient is zero.
+        The step consumes the gradients it applies: each ``grad`` is None after it."""
         for p, v in zip(self.params, self.velocities):
-            sgd_step(p.value, p.grad, v, self.lr, self.momentum)
+            v *= self.momentum
+            if p.grad is not None:
+                v += p.grad
+            p.value -= self.lr * v
+            p.grad = None
 
     def zero_grad(self):
+        """Drops gradients that no step applied."""
         for p in self.params:
-            p.zero_grad()
+            p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +225,6 @@ class TrainState:
         if self.keep_best and loss < self.best_loss:
             self.best_loss = loss
             self.best_tensors = [(n, a.copy()) for n, a in self.model.named_tensors()]
-        self.opt.zero_grad()
         self.model.backward(gl)
         self.opt.step()
 

@@ -338,7 +338,6 @@ class TestIdentitySafeInit:
         y = se.forward(x)
         assert np.array_equal(y.values, x.values)
         opt = SGD(se.parameters(), lr=0.1, momentum=0.0)
-        opt.zero_grad()
         se.backward(np.ones_like(y.values))  # loss = sum of outputs
         opt.step()
         y2 = se.forward(x)

@@ -133,7 +133,8 @@ class TestRotate90:
 class TestPhotometric:
     def test_neutral_parameters_identity(self):
         li = make_image(6, 6, boxes=[BBox(1, 1, 3, 3)])
-        out = photometric(li, brightness=0.0, contrast=1.0, noise_sigma=0.0)
+        out = photometric(li, brightness=0.0, contrast=1.0, noise_sigma=0.0,
+                          rng=np.random.default_rng(0))
         # contrast is applied about 0.5, so neutral parameters round-trip
         # through one subtract/add pair; exact to float32 rounding only
         assert np.allclose(out.image.values, li.image.values, atol=1e-6)
@@ -158,7 +159,12 @@ class TestPhotometric:
 
     def test_rejects_nonpositive_contrast(self):
         with pytest.raises(ValueError):
-            photometric(make_image(), contrast=0.0)
+            photometric(make_image(), contrast=0.0, rng=np.random.default_rng(0))
+
+    def test_noise_has_no_hidden_seed(self):
+        # the generator is always the caller's: none is made up for it
+        with pytest.raises(TypeError, match="rng"):
+            photometric(make_image(), noise_sigma=0.1)
 
 
 class TestJitter:

@@ -96,7 +96,6 @@ def test_backward_gives_every_parameter_a_gradient_of_its_dtype():
     model = PatchModel(ExperimentConfig())
     task = SyntheticPatchTask(64)
     x, _, _ = task.batch([0, 1])
-    SGD(model.parameters(), lr=0.1).zero_grad()
     model.backward(np.ones_like(model.forward(x, training=True)))
     assert all(p.grad.dtype == p.value.dtype and p.grad.shape == p.value.shape
                for p in model.parameters())
@@ -268,7 +267,6 @@ def test_buffers_get_no_gradient_and_no_update():
     x, labels, _ = SyntheticPatchTask(64).batch([0, 1])
     logits = model.forward(x, training=True)
     stats = [b.value.copy() for b in buffers]  # the running statistics this forward set
-    opt.zero_grad()
     model.backward(bce_with_logits(logits, labels)[1])
     opt.step()
     assert all(b.grad is None for b in buffers)

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from moonnet.train import (
     load_model_checkpoint,
     model_detections,
     save_model_checkpoint,
-    sgd_step,
     sweep,
     sweep_table,
     train,
@@ -71,7 +71,6 @@ def reference_run(cfg):
         if not losses or loss < min(losses):
             best = [(n, a.copy()) for n, a in model.named_tensors()]
         losses.append(loss)
-        opt.zero_grad()
         model.backward(g)
         opt.step()
     return losses, model, best
@@ -83,42 +82,80 @@ def same_tensors(a, b):
         [(n, x.dtype, x.shape, x.tobytes()) for n, x in b]
 
 
+def sgd_param(value, grad=None):
+    p = Param("theta", np.asarray(value))
+    p.grad = None if grad is None else np.asarray(grad)
+    return p
+
+
 class TestSgdStep:
     def test_single_step_no_momentum(self):
-        theta = np.array([1.0, 2.0])
-        v = np.zeros(2)
-        sgd_step(theta, np.array([0.5, -1.0]), v, lr=0.1, momentum=0.0)
-        assert np.allclose(theta, [0.95, 2.1])
+        p = sgd_param([1.0, 2.0], [0.5, -1.0])
+        SGD([p], lr=0.1, momentum=0.0).step()
+        assert np.allclose(p.value, [0.95, 2.1])
 
     def test_none_gradient_is_zero_and_momentum_decays(self):
-        theta = np.array([1.0])
-        v = np.array([2.0])
-        sgd_step(theta, None, v, lr=0.1, momentum=0.5)
-        assert v[0] == 1.0 and theta[0] == 0.9
+        p = sgd_param([1.0])
+        opt = SGD([p], lr=0.1, momentum=0.5)
+        opt.velocities[0][...] = 2.0
+        opt.step()
+        assert opt.velocities[0][0] == 1.0 and p.value[0] == 0.9
 
     def test_momentum_accumulates(self):
         # two steps with constant gradient g=1: v goes 1, then 1.9
-        theta = np.array([0.0])
-        v = np.zeros(1)
-        g = np.array([1.0])
-        sgd_step(theta, g, v, lr=1.0, momentum=0.9)
-        assert theta[0] == -1.0
-        sgd_step(theta, g, v, lr=1.0, momentum=0.9)
-        assert theta[0] == pytest.approx(-2.9)
+        p = sgd_param([0.0])
+        opt = SGD([p], lr=1.0, momentum=0.9)
+        p.grad = np.array([1.0])
+        opt.step()
+        assert p.value[0] == -1.0
+        p.grad = np.array([1.0])
+        opt.step()
+        assert p.value[0] == pytest.approx(-2.9)
 
     def test_in_place(self):
         theta = np.zeros(3)
-        out = sgd_step(theta, np.ones(3), np.zeros(3), 0.1, 0.0)
-        assert out is theta
+        p = sgd_param(theta, np.ones(3))
+        SGD([p], 0.1, 0.0).step()
+        assert p.value is theta and np.allclose(theta, -0.1)
 
     def test_quadratic_bowl_converges(self):
         # f(x) = 0.5 x^T A x with A = diag(1, 10)
         A = np.array([1.0, 10.0])
-        x = np.array([5.0, -3.0])
-        v = np.zeros(2)
+        p = sgd_param([5.0, -3.0])
+        opt = SGD([p], lr=0.1, momentum=0.9)
         for _ in range(300):
-            sgd_step(x, A * x, v, lr=0.1, momentum=0.9)
-        assert float(np.abs(x).max()) < 1e-6
+            p.grad = A * p.value
+            opt.step()
+        assert float(np.abs(p.value).max()) < 1e-6
+
+    def test_step_consumes_every_gradient(self):
+        model = PatchModel(tiny_cfg())
+        opt = SGD(model.parameters(), lr=0.01)
+        x, labels, _ = SyntheticPatchTask(64).batch(range(2))
+        model.backward(bce_with_logits(model.forward(x, training=True), labels)[1])
+        assert all(p.grad is not None for p in model.parameters())
+        opt.step()
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_train_step_peak_is_the_same_at_every_step(self):
+        """No gradient outlives its step, so the next forward does not carry
+        the last step's gradients: the traced peak of each step above the
+        weights and velocities is that of the first step."""
+        state = TrainState(ExperimentConfig(input_size=64))
+        x, labels, _ = SyntheticPatchTask(64).batch(range(4))
+        peaks = []
+        tracemalloc.start()
+        try:
+            weights = tracemalloc.get_traced_memory()[0]
+            for _ in range(4):
+                tracemalloc.reset_peak()
+                state.step(x, labels)
+                peaks.append(tracemalloc.get_traced_memory()[1] - weights)
+        finally:
+            tracemalloc.stop()
+        # a step that leaves its 15.5 MB of gradients for the next one to clear
+        # carries them through that step's forward: 1.10x at 64 px
+        assert max(peaks[1:]) <= 1.01 * peaks[0], [p / peaks[0] for p in peaks]
 
 
 class TestBceWithLogits:
@@ -323,11 +360,11 @@ class TestFloat32TracksFloat64:
         def step(model, opt, x, labels):
             logits = model.forward(x, training=True)
             loss, g = bce_with_logits(logits, labels)
-            opt.zero_grad()
             gx = model.backward(g)
+            grads = [p.grad for p in model.parameters()]  # the step consumes them
             opt.step()
             return loss, ([logits, gx] + [a for _, a in model.named_tensors()]
-                          + opt.velocities + [p.grad for p in model.parameters()])
+                          + opt.velocities + grads)
 
         cfg = tiny_cfg(design_id=design_id, gate=gate, width=0.125, batch=4)
         m32, m64 = PatchModel(cfg), PatchModel(cfg).cast(np.float64)
@@ -686,6 +723,14 @@ class TestConfig:
             sweep(tiny_cfg(), {"input_size": ["64", "50"]})
 
 
+def sized_runs(size):
+    """A train, augment-preview and sweep at one input size.  The sizes the
+    tests pass are ones NumPy refuses before allocating anything: an image
+    of 2^63 bytes or more is "too big", one of 512 PiB cannot be allocated."""
+    return [["train", "--input-size", size, "--epochs", "1", "--steps-per-epoch", "1"],
+            ["augment-preview", "--size", size], ["sweep", "--over", f"input_size={size}"]]
+
+
 class TestCli:
     def test_train_success_exit_zero(self, tmp_path, capsys):
         rc = cli_main(["train", "--design", "5", "--width", "0.125",
@@ -711,6 +756,7 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, names", [
+        *[(argv, "array is too big") for argv in sized_runs("8589934592")],
         (["sweep", "--over", "input_size=64,x"], "input_size"),
         (["augment-preview", "--size", "50"], "got 50"),
         (["sweep", "--over", "input_size=64", "--size", "96"], "--over"),
@@ -731,6 +777,14 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+
+    @pytest.mark.parametrize("argv", sized_runs("2147483648"),
+                             ids=["train", "augment-preview", "sweep"])
+    def test_unallocatable_size_exit_two(self, argv, capsys):
+        rc = cli_main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: Unable to allocate") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["train", "--epochs", "1", "--steps-per-epoch", "1"],
                                       ["gradcheck"], ["augment-preview"]],
