@@ -138,7 +138,9 @@ class Module:
     training only: an eval forward records no tape.  A tape lives from a
     training forward to the one backward that consumes it: ``backward``
     takes it with ``_pop_tape``, so its saved arrays are freed as soon as
-    that backward returns."""
+    that backward returns.  A tape may hold the forward's input by
+    reference (``conv2d`` keeps it to rebuild its columns), so a training
+    forward's input must not be written in place before its backward."""
 
     def _members(self):
         for v in vars(self).values():
@@ -305,6 +307,30 @@ def fc(x: Tensor4, W: np.ndarray, b: np.ndarray):
     return Tensor4(out.reshape(n, W.shape[0], 1, 1)), backward
 
 
+def _taps(k: int, stride: int, ho: int, wo: int):
+    """(i, j, window) per kernel tap: the (n, c, ho, wo) window of the padded
+    input that tap (i, j) multiplies."""
+    return [(i, j, np.s_[:, :, i:i + stride * (ho - 1) + 1:stride,
+                         j:j + stride * (wo - 1) + 1:stride])
+            for i in range(k) for j in range(k)]
+
+
+def _columns(xv: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
+    """im2col matrix of shape (c*k*k, n*ho*wo), channel-major with the
+    spatial positions innermost, so each tap fills one block and the
+    contraction is one GEMM.  The padded copy of ``xv`` dies with the call."""
+    n, c, h, w = xv.shape
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=xv.dtype)
+        xp[:, :, pad:pad + h, pad:pad + w] = xv
+    else:
+        xp = xv
+    cols = np.empty((c, k, k, n, ho, wo), dtype=xv.dtype)
+    for i, j, win in _taps(k, stride, ho, wo):
+        cols[:, i, j] = xp[win].transpose(1, 0, 2, 3)
+    return cols.reshape(c * k * k, n * ho * wo)
+
+
 def conv2d(x: Tensor4, kernel: np.ndarray, b: np.ndarray | None, stride: int = 1,
            pad: int = 0):
     """Cross-correlation with zero padding.
@@ -312,6 +338,11 @@ def conv2d(x: Tensor4, kernel: np.ndarray, b: np.ndarray | None, stride: int = 1
     kernel: (c_out, c_in, k, k) with k odd; output spatial size is
     floor((h + 2*pad - k) / stride) + 1.  ``b`` is a (c_out,) bias, or None
     for no bias, in which case the backward returns None for its gradient.
+
+    The backward keeps a reference to ``x.values``, not the im2col columns,
+    and rebuilds the columns from it for the kernel gradient, bit for bit
+    the forward's.  So ``x.values`` must not be written in place between
+    this call and its backward.
     """
     n, c, h, w = x.shape
     c_out, c_in, kh, kw = kernel.shape
@@ -328,38 +359,22 @@ def conv2d(x: Tensor4, kernel: np.ndarray, b: np.ndarray | None, stride: int = 1
         raise ShapeError(f"non-positive output size for input {x.shape} with k={k}, "
                          f"stride={stride}, pad={pad}")
 
-    if pad:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        xp[:, :, pad:pad + h, pad:pad + w] = x.values
-    else:
-        xp = x.values
-    # the (n, c, ho, wo) window of xp that kernel tap (i, j) multiplies
-    taps = [(i, j, np.s_[:, :, i:i + stride * (ho - 1) + 1:stride,
-                         j:j + stride * (wo - 1) + 1:stride])
-            for i in range(k) for j in range(k)]
-    # im2col matrix of shape (c*k*k, n*ho*wo), channel-major with the spatial
-    # positions innermost, so each tap fills one block and the contraction
-    # is one GEMM
-    Mt = np.empty((c, k, k, n, ho, wo), dtype=x.dtype)
-    for i, j, win in taps:
-        Mt[:, i, j] = xp[win].transpose(1, 0, 2, 3)
-    Mt = Mt.reshape(c * k * k, n * ho * wo)
-    # the backward keeps the padded shape only, not the padded copy
-    xp_shape = xp.shape
+    xv = x.values
     Km = kernel.reshape(c_out, c * k * k)
-    out = (Km @ Mt).reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3)
+    out = (Km @ _columns(xv, k, stride, pad, ho, wo)).reshape(c_out, n, ho, wo)
+    out = out.transpose(1, 0, 2, 3)
     if b is not None:
         out = out + b[None, :, None, None]
 
     def backward(g):
         gb = None if b is None else g.sum(axis=(0, 2, 3))
         g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
-        gk = (g2 @ Mt.T).reshape(kernel.shape)
+        gk = (g2 @ _columns(xv, k, stride, pad, ho, wo).T).reshape(kernel.shape)
         # np.dot: for c_out = 1 this is an outer product, which matmul runs
         # about 4x slower than dot's BLAS call
         g_cols = np.dot(Km.T, g2).reshape(c, k, k, n, ho, wo)
-        gxp = np.zeros(xp_shape, dtype=Mt.dtype)
-        for i, j, win in taps:
+        gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=xv.dtype)
+        for i, j, win in _taps(k, stride, ho, wo):
             gxp[win] += g_cols[:, i, j].transpose(1, 0, 2, 3)
         gx = gxp[:, :, pad:pad + h, pad:pad + w] if pad else gxp
         return gx, gk, gb
@@ -466,8 +481,10 @@ def concat_channels(a: Tensor4, b: Tensor4):
 def split_channels(x: Tensor4, at: int):
     if not 0 < at < x.c:
         raise ShapeError(f"split point {at} outside (0, {x.c})")
-    a = x.values[:, :at].copy()
-    b = x.values[:, at:].copy()
+    # views of x, not copies: no caller writes them in place (C2f copies ``a``
+    # into its concat and only reads ``b``)
+    a = x.values[:, :at]
+    b = x.values[:, at:]
 
     def backward(ga, gb):
         return (np.concatenate([ga, gb], axis=1),)

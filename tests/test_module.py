@@ -159,6 +159,24 @@ def test_backward_frees_the_tape_as_it_goes(size):
     assert peak <= tape + grads, peak / (tape + grads)
 
 
+@pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (3, 2)])
+def test_conv_block_tape_holds_three_outputs(k, stride):
+    """A ConvBlock's training tape is batchnorm's xhat and SiLU's s and out,
+    whatever the kernel: the conv keeps a reference to the input, which the
+    caller holds, and neither im2col columns nor a padded copy.  The slack
+    is the closures and the per-channel statistics."""
+    block = backbone.ConvBlock(16, 16, k, "b", stride=stride).draw(np.random.default_rng(0))
+    x = Tensor4(np.random.default_rng(1).standard_normal((4, 16, 32, 32)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        y = block.forward(x, training=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    out = y.values.nbytes
+    assert 3 * out <= held < 3 * out + 8192, held / out
+
+
 def test_no_layer_writes_a_protocol_method():
     layers = [cls for mod in (attention, backbone, train)
               for _, cls in inspect.getmembers(mod, inspect.isclass)
