@@ -25,10 +25,9 @@ from .tensor import (
     ShapeError,
     Tensor4,
     add,
-    batchnorm,
+    batchnorm_silu,
     concat_channels,
     conv2d,
-    silu,
     split_channels,
 )
 
@@ -86,10 +85,6 @@ class BackboneDesign:
     gate: GateKind = GateKind.RESIDUAL_TANH
     spatial_kernel: int = 7
 
-    @property
-    def stage_channels(self):
-        return tuple(s.out_channels for s in self.stages)
-
 
 def _scale(c: int, w: float) -> int:
     return max(1, round(c * w))
@@ -129,7 +124,10 @@ def build_design(design_id: int, width_multiplier: float = 1.0,
 class ConvBlock(Module):
     """conv -> batchnorm -> SiLU.  The conv has no bias: a training-mode
     batchnorm subtracts the batch mean, which would cancel it.  The kernel is
-    built zero; ``draw`` fills it."""
+    built zero; ``draw`` fills it.  Batchnorm and SiLU run fused, as
+    ``batchnorm_silu``, so a training tape holds two arrays of the output's
+    size, batchnorm's ``xhat`` and the output itself, plus a reference to the
+    input that the caller holds."""
 
     def __init__(self, c_in, c_out, k, name, stride=1):
         self.stride, self.pad = stride, (k - 1) // 2
@@ -144,17 +142,15 @@ class ConvBlock(Module):
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         y, bw_conv = conv2d(x, self.weight.value, None, stride=self.stride, pad=self.pad)
-        y, bw_bn = batchnorm(y, self.gamma.value, self.beta.value, training=training,
-                             running_mean=self.running_mean.value,
-                             running_var=self.running_var.value)
-        y, bw_act = silu(y)
-        self._tape = (bw_conv, bw_bn, bw_act) if training else None
+        y, bw_act = batchnorm_silu(y, self.gamma.value, self.beta.value, training=training,
+                                   running_mean=self.running_mean.value,
+                                   running_var=self.running_var.value)
+        self._tape = (bw_conv, bw_act) if training else None
         return y
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        bw_conv, bw_bn, bw_act = self._pop_tape()
-        (g,) = bw_act(g)
-        g, ggamma, gbeta = bw_bn(g)
+        bw_conv, bw_act = self._pop_tape()
+        g, ggamma, gbeta = bw_act(g)
         self.gamma.add_grad(ggamma)
         self.beta.add_grad(gbeta)
         gx, gk, _ = bw_conv(g)

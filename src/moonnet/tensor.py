@@ -36,6 +36,7 @@ __all__ = [
     "split_channels",
     "add",
     "batchnorm",
+    "batchnorm_silu",
 ]
 
 
@@ -139,8 +140,9 @@ class Module:
     training forward to the one backward that consumes it: ``backward``
     takes it with ``_pop_tape``, so its saved arrays are freed as soon as
     that backward returns.  A tape may hold the forward's input by
-    reference (``conv2d`` keeps it to rebuild its columns), so a training
-    forward's input must not be written in place before its backward."""
+    reference (``conv2d`` keeps it to rebuild its columns) and its output
+    (``batchnorm_silu`` keeps it, with batchnorm's ``xhat``, to rebuild its
+    sigmoid), so neither may be written in place before the backward."""
 
     def _members(self):
         for v in vars(self).values():
@@ -398,9 +400,15 @@ def relu(x: Tensor4):
     return Tensor4(out), backward
 
 
-def clipped_sigmoid(v: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-v)) with v clipped to [-60, 60], so exp never overflows."""
-    return 1.0 / (1.0 + np.exp(-np.clip(v, -60.0, 60.0)))
+def clipped_sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-v)) with v clipped to [-60, 60], so exp never overflows.
+    The result goes into ``out`` (which may be ``v``) or, without one, into
+    a new array; every step after the clip runs in place."""
+    out = np.clip(v, -60.0, 60.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def sigmoid(x: Tensor4):
@@ -421,18 +429,30 @@ def tanh_act(x: Tensor4):
     return Tensor4(t), backward
 
 
+def _silu(v: np.ndarray, out: np.ndarray | None = None):
+    """SiLU's forward, ``(v * s, s)`` with ``s = clipped_sigmoid(v)``; the
+    product goes into ``out``, which may be ``v``."""
+    s = clipped_sigmoid(v)
+    return np.multiply(v, s, out=out), s
+
+
+def _silu_backward(g, s, out):
+    """SiLU's gradient, g * (s + x * s * (1 - s)), with x * s taken from the
+    forward output ``out``: a new array."""
+    gx = 1.0 - s
+    gx *= out
+    gx += s
+    gx *= g
+    return gx
+
+
 def silu(x: Tensor4):
-    """x * sigmoid(x), the backbone activation."""
-    s = clipped_sigmoid(x.values)
-    out = x.values * s
+    """x * sigmoid(x), the backbone activation.  ``ConvBlock`` runs it
+    fused with its batchnorm, as ``batchnorm_silu``."""
+    out, s = _silu(x.values)
 
     def backward(g):
-        # g * (s + x * s * (1 - s)), with x * s taken from the forward output
-        gx = 1.0 - s
-        gx *= out
-        gx += s
-        gx *= g
-        return (gx,)
+        return (_silu_backward(g, s, out),)
 
     return Tensor4(out), backward
 
@@ -503,15 +523,11 @@ def add(a: Tensor4, b: Tensor4):
     return Tensor4(out), backward
 
 
-def batchnorm(x: Tensor4, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5,
-              training: bool = True, running_mean=None, running_var=None,
-              momentum: float = 0.1):
-    """Per-channel batch normalization.
-
-    Training mode normalizes with batch statistics over (n, h, w) and, when
-    running buffers are supplied, updates them in place.  Eval mode uses the
-    stored running statistics.
-    """
+def _bn_normalize(x: Tensor4, gamma, beta, eps, training, running_mean, running_var,
+                  momentum):
+    """Batchnorm's normalize step: ``(xhat, invstd)``, ``xhat`` a new array.
+    Training normalizes with the batch statistics over (n, h, w) and, when
+    running buffers are given, updates them in place; eval uses them."""
     n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
@@ -529,20 +545,79 @@ def batchnorm(x: Tensor4, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
         var = running_var
     invstd = 1.0 / np.sqrt(var + eps)
     xhat *= invstd[None, :, None, None]
-    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    return xhat, invstd
+
+
+def _bn_affine(xhat, gamma, beta):
+    """gamma * xhat + beta per channel, into a new array."""
+    z = np.multiply(gamma[None, :, None, None], xhat)
+    z += beta[None, :, None, None]
+    return z
+
+
+def _bn_backward(g, xhat, gamma, invstd, training, work=None, out=None):
+    """Batchnorm's backward: ``(gx, ggamma, gbeta)``.  ``work`` receives
+    g * xhat and ``out`` the input gradient; without them g * xhat goes into
+    a new array, which then becomes gx.  ``out`` may be ``xhat``, which the
+    call then consumes."""
+    gx = np.multiply(g, xhat, out=work)
+    ggamma = gx.sum(axis=(0, 2, 3))
+    gbeta = g.sum(axis=(0, 2, 3))
+    scale = (gamma * invstd)[None, :, None, None]
+    if not training:
+        return np.multiply(g, scale, out=out), ggamma, gbeta
+    if out is not None:
+        gx = out
+    m = xhat.size // xhat.shape[1]
+    # gamma * invstd * (g - gbeta / m - xhat * ggamma / m)
+    np.multiply(xhat, (ggamma / m)[None, :, None, None], out=gx)
+    np.subtract(g, gx, out=gx)
+    gx -= (gbeta / m)[None, :, None, None]
+    gx *= scale
+    return gx, ggamma, gbeta
+
+
+def batchnorm(x: Tensor4, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5,
+              training: bool = True, running_mean=None, running_var=None,
+              momentum: float = 0.1):
+    """Per-channel batch normalization.
+
+    Training mode normalizes with batch statistics over (n, h, w) and, when
+    running buffers are supplied, updates them in place.  Eval mode uses the
+    stored running statistics.
+    """
+    xhat, invstd = _bn_normalize(x, gamma, beta, eps, training, running_mean, running_var,
+                                 momentum)
 
     def backward(g):
-        gx = g * xhat
-        ggamma = gx.sum(axis=(0, 2, 3))
-        gbeta = g.sum(axis=(0, 2, 3))
-        scale = (gamma * invstd)[None, :, None, None]
-        if not training:
-            return g * scale, ggamma, gbeta
-        # gamma * invstd * (g - gbeta / m - xhat * ggamma / m)
-        np.multiply(xhat, (ggamma / m)[None, :, None, None], out=gx)
-        np.subtract(g, gx, out=gx)
-        gx -= (gbeta / m)[None, :, None, None]
-        gx *= scale
-        return gx, ggamma, gbeta
+        return _bn_backward(g, xhat, gamma, invstd, training)
+
+    return Tensor4(_bn_affine(xhat, gamma, beta)), backward
+
+
+def batchnorm_silu(x: Tensor4, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5,
+                   training: bool = True, running_mean=None, running_var=None,
+                   momentum: float = 0.1):
+    """``silu(batchnorm(x, ...))`` bit for bit, with a smaller tape.
+
+    The forward runs batchnorm's and SiLU's expressions in their order, the
+    SiLU product in place.  The backward keeps ``xhat``, ``invstd`` and a
+    reference to ``out`` (the next layer's input, which its tape holds
+    anyway), not SiLU's ``s``: it rebuilds ``s = clipped_sigmoid(gamma *
+    xhat + beta)`` into one scratch array with the forward's expressions,
+    applies SiLU's gradient and then batchnorm's, and writes the input
+    gradient into ``xhat``.  So the backward closure is single-use, and
+    ``out`` must not be written in place before it runs.
+    """
+    xhat, invstd = _bn_normalize(x, gamma, beta, eps, training, running_mean, running_var,
+                                 momentum)
+    z = _bn_affine(xhat, gamma, beta)
+    out, _ = _silu(z, out=z)
+
+    def backward(g):
+        z = _bn_affine(xhat, gamma, beta)
+        s = clipped_sigmoid(z, out=z)
+        return _bn_backward(_silu_backward(g, s, out), xhat, gamma, invstd, training,
+                            work=s, out=xhat)
 
     return Tensor4(out), backward

@@ -544,6 +544,56 @@ class TestBatchnormClosedForm:
             assert np.array_equal(rv, (rv0 * np.float32(0.9)) + 0.1 * var)
 
 
+def _batchnorm_then_silu(x, gamma, beta, **bn):
+    """The pair ``batchnorm_silu`` fuses, as ``ConvBlock`` ran it before."""
+    y, bw_bn = T.batchnorm(x, gamma, beta, **bn)
+    out, bw_act = T.silu(y)
+
+    def backward(g):
+        return bw_bn(*bw_act(g))
+
+    return out, backward
+
+
+class TestBatchnormSilu:
+    """The fused op gives the bits of batchnorm then SiLU: the output, every
+    gradient and both running buffers."""
+
+    @pytest.mark.parametrize("layout", ["c_contiguous", "conv_output"])
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_batchnorm_then_silu(self, dtype, training, scale, layout):
+        rng = np.random.default_rng(41)
+        n, c, h, w = 4, 6, 9, 7
+        if layout == "conv_output":  # the channel-major view conv2d returns
+            src = rng.standard_normal((n, 3, h, w)).astype(dtype)
+            kern = rng.standard_normal((c, 3, 3, 3)).astype(dtype)
+            x = T.conv2d(Tensor4(src), kern, None, pad=1)[0].values * dtype(scale)
+            assert not x.flags.c_contiguous
+        else:
+            x = (rng.standard_normal((n, c, h, w)) * scale).astype(dtype)
+        gamma = (rng.standard_normal(c) * scale).astype(dtype)
+        beta = (rng.standard_normal(c) * scale).astype(dtype)
+        rm0 = rng.standard_normal(c).astype(dtype)
+        rv0 = rng.uniform(0.5, 2.0, size=c).astype(dtype)
+        g = rng.standard_normal((n, c, h, w)).astype(dtype)
+        results = []
+        for op in (T.batchnorm_silu, _batchnorm_then_silu):
+            rm, rv = rm0.copy(), rv0.copy()
+            out, bw = op(Tensor4(x), gamma, beta, training=training, running_mean=rm,
+                         running_var=rv)
+            results.append([out.values, *bw(g), rm, rv])
+        if scale > 1:  # some inputs of the sigmoid lie beyond its clip at +-60
+            y, _ = T.batchnorm(Tensor4(x), gamma, beta, training=training,
+                               running_mean=rm0.copy(), running_var=rv0.copy())
+            assert (y.values < -60).any() and (y.values > 60).any()
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestPoolingInvariants:
     def test_avg_and_max_coincide_on_constants(self):
         for k in [0.0, -2.5, 13.0]:

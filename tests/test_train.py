@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import moonnet
+from moonnet import backbone
+from moonnet import tensor as T
 from moonnet.attention import GateKind
 from moonnet.augment import AugmentPackage, load_annotations
 from moonnet.checkpoint import (META_PREFIX, CheckpointError, bytes_to_tensor,
@@ -339,6 +341,37 @@ class TestTrainLoop:
             saved = [(n, a) for n, a in load_checkpoint(tmp_path / f"{name}.ckpt")
                      if not n.startswith(META_PREFIX)]
             assert same_tensors(saved, expected), name
+
+
+class TestFusedConvBlock:
+    @pytest.mark.parametrize("gate", [GateKind.RESIDUAL_TANH, GateKind.SIGMOID_ORIGINAL])
+    def test_three_steps_train_as_batchnorm_then_silu(self, gate, monkeypatch):
+        """ConvBlock's fused batchnorm_silu trains bit for bit as the
+        batchnorm -> silu pair it replaced: three steps of design 5, every
+        loss and every named tensor."""
+        def three_steps():
+            cfg = tiny_cfg(design_id=5, gate=gate, batch=4, width=0.25)
+            state = TrainState(cfg)
+            task = SyntheticPatchTask(cfg.input_size, cfg.augment)
+            for i in range(3):
+                x, labels, _ = task.batch(range(4 * i, 4 * i + 4))
+                state.step(x, labels)
+            return state
+
+        fused = three_steps()
+        calls = []
+
+        def batchnorm_then_silu(x, gamma, beta, **bn):
+            calls.append(x.shape)
+            y, bw_bn = T.batchnorm(x, gamma, beta, **bn)
+            out, bw_act = T.silu(y)
+            return out, lambda g: bw_bn(*bw_act(g))
+
+        monkeypatch.setattr(backbone, "batchnorm_silu", batchnorm_then_silu)
+        pair = three_steps()
+        assert len(calls) == 3 * 21  # the 21 ConvBlocks of design 5, at each step
+        assert [v.hex() for v in fused.losses] == [v.hex() for v in pair.losses]
+        assert same_tensors(fused.model.named_tensors(), pair.model.named_tensors())
 
 
 class TestFloat32TracksFloat64:
