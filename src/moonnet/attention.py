@@ -79,7 +79,6 @@ class SEBlock(Module):
         self.b1 = Param(f"{name}/b1", np.zeros((self.m,), dtype=np.float32), channels)
         self.w2 = Param(f"{name}/w2", np.zeros((channels, self.m), dtype=np.float32))
         self.b2 = Param(f"{name}/b2", np.zeros((channels,), dtype=np.float32))
-        self._tape = None
 
     def _channel_gate(self, x: Tensor4, pools):
         """Run the shared MLP over each pooled vector of ``x``, sum the logits

@@ -138,7 +138,6 @@ class ConvBlock(Module):
         self.running_mean = Buffer(f"{name}/bn_running_mean",
                                    np.zeros((c_out,), dtype=np.float32))
         self.running_var = Buffer(f"{name}/bn_running_var", np.ones((c_out,), dtype=np.float32))
-        self._tape = None
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         y, bw_conv = conv2d(x, self.weight.value, None, stride=self.stride, pad=self.pad)
@@ -164,7 +163,6 @@ class Bottleneck(Module):
     def __init__(self, channels, name):
         self.cv1 = ConvBlock(channels, channels, 3, f"{name}/cv1")
         self.cv2 = ConvBlock(channels, channels, 3, f"{name}/cv2")
-        self._tape = None
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         y = self.cv1.forward(x, training)
@@ -189,7 +187,6 @@ class C2f(Module):
         self.cv1 = ConvBlock(channels, channels, 1, f"{name}/cv1")
         self.block = Bottleneck(channels // 2, f"{name}/b0")
         self.cv2 = ConvBlock(channels, channels, 1, f"{name}/cv2")
-        self._tape = None
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         y = self.cv1.forward(x, training)

@@ -141,7 +141,7 @@ def _tensor_op(fn, n_tensors=1, **kw):
 
 
 def check_op_suite(seed: int = 0):
-    """Gradcheck every primitive operator over a set of shapes."""
+    """Gradcheck every operator over a set of shapes, the fused ``batchnorm_silu`` last."""
     rng = np.random.default_rng(seed)
     cases = []
     for shape in ((1, 3, 4, 4), (2, 1, 5, 2), (1, 16, 2, 5)):
@@ -164,13 +164,14 @@ def check_op_suite(seed: int = 0):
     for gshape in [(2, 3, 1, 1), (2, 1, 4, 4)]:
         cases.append((f"broadcast_mul{gshape}", _tensor_op(T.broadcast_mul, 2),
                       {"x": (2, 3, 4, 4), "gate": gshape}))
+    bn = {"x": (2, 3, 4, 4), "gamma": lambda r: 1.0 + 0.1 * _draw(r, (3,)),
+          "beta": lambda r: 0.1 * _draw(r, (3,))}
     cases += [
         ("concat_channels", _tensor_op(T.concat_channels, 2),
          {"a": (1, 2, 3, 3), "b": (1, 4, 3, 3)}),
         ("split_channels", _tensor_op(T.split_channels, at=2), {"x": (1, 6, 2, 2)}),
-        ("batchnorm", _tensor_op(T.batchnorm),
-         {"x": (2, 3, 4, 4), "gamma": lambda r: 1.0 + 0.1 * _draw(r, (3,)),
-          "beta": lambda r: 0.1 * _draw(r, (3,))}),
+        ("batchnorm", _tensor_op(T.batchnorm), bn),
+        ("batchnorm_silu", _tensor_op(T.batchnorm_silu), bn),
     ]
     reports = []
     for op_name, op, inputs in cases:

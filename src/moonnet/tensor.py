@@ -144,6 +144,8 @@ class Module:
     (``batchnorm_silu`` keeps it, with batchnorm's ``xhat``, to rebuild its
     sigmoid), so neither may be written in place before the backward."""
 
+    _tape = None
+
     def _members(self):
         for v in vars(self).values():
             if isinstance(v, (Param, Module)):

@@ -128,6 +128,24 @@ class SyntheticPatchTask:
         labels = np.stack([self.label_grid(li) for li in samples], axis=0)
         return Tensor4(images), labels, samples
 
+    def batches(self, data_rng: np.random.Generator, batch: int):
+        """``(x, targets)`` without end, each batch drawn from ``batch`` seeds of ``data_rng``."""
+        while True:
+            x, targets, _ = self.batch([int(s) for s in data_rng.integers(0, 2 ** 31, size=batch)])
+            yield x, targets
+
+    def loss(self, logits: np.ndarray, targets: np.ndarray):
+        """The training loss and its gradient with respect to ``logits``."""
+        return bce_with_logits(logits, targets)
+
+    def accuracy(self, logits: np.ndarray, targets: np.ndarray) -> float:
+        """Fraction of cells whose presence logit (> 0) agrees with the target."""
+        return float(np.mean((logits > 0.0) == (targets > 0.5)))
+
+    def detections(self, logits: np.ndarray, sample: LabeledImage) -> list[BBox]:
+        """The boxes that one image's logits, shape (1, 1, grid, grid), predict."""
+        return model_detections(logits, self, sample)
+
 
 # ---------------------------------------------------------------------------
 # model
@@ -146,7 +164,6 @@ class PatchModel(Module):
         c_last = design.stages[-1].out_channels
         self.head_w = Param("head/weight", np.zeros((1, c_last, 1, 1), dtype=np.float32), c_last)
         self.head_b = Param("head/bias", np.zeros((1,), dtype=np.float32))
-        self._tape = None
         if draw:
             self.head_w.draw(np.random.default_rng([cfg.seed, 1000]))
 
@@ -180,18 +197,14 @@ def bce_with_logits(logits: np.ndarray, labels: np.ndarray):
 # training
 # ---------------------------------------------------------------------------
 
-def _cell_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of cells whose presence logit (> 0) agrees with the label."""
-    return float(np.mean((logits > 0.0) == (labels > 0.5)))
-
-
 @dataclass(eq=False)
 class TrainState:
-    """One run's state, built from ``cfg``: model, optimizer, batch-seed stream, and
-    each step's loss and cell accuracy.  With ``keep_best`` (a run that writes
+    """One run's state, built from ``cfg``: task, model, optimizer, batch-seed stream,
+    and each step's loss and cell accuracy.  With ``keep_best`` (a run that writes
     ``best.ckpt``) also the lowest loss and a copy of the weights that gave it."""
     cfg: ExperimentConfig
     keep_best: bool = False
+    task: SyntheticPatchTask = field(init=False)
     model: PatchModel = field(init=False)
     opt: SGD = field(init=False)
     data_rng: np.random.Generator = field(init=False)
@@ -201,6 +214,7 @@ class TrainState:
     best_tensors: list[tuple[str, np.ndarray]] | None = field(init=False, default=None)
 
     def __post_init__(self):
+        self.task = SyntheticPatchTask(self.cfg.input_size, self.cfg.augment)
         self.model = PatchModel(self.cfg)
         self.opt = SGD(self.model.parameters(), self.cfg.lr, self.cfg.momentum)
         self.data_rng = np.random.default_rng([self.cfg.seed, 2])
@@ -213,14 +227,14 @@ class TrainState:
     def final_accuracy(self) -> float:  # the mean over the last 20 steps
         return float(np.mean(self.accuracies[-20:]))
 
-    def step(self, x: Tensor4, labels: np.ndarray):
+    def step(self, x: Tensor4, targets: np.ndarray):
         """One SGD step on the batch, recording its loss and cell accuracy."""
         logits = self.model.forward(x, training=True)
-        loss, gl = bce_with_logits(logits, labels)
+        loss, gl = self.task.loss(logits, targets)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss at step {self.steps_run}")
         self.losses.append(loss)
-        self.accuracies.append(_cell_accuracy(logits, labels))
+        self.accuracies.append(self.task.accuracy(logits, targets))
         # the weights that gave this loss, before the update moves them
         if self.keep_best and loss < self.best_loss:
             self.best_loss = loss
@@ -253,12 +267,10 @@ def train(cfg: ExperimentConfig, out_dir=None, target_accuracy: float | None = N
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    task = SyntheticPatchTask(cfg.input_size, cfg.augment)
     state = TrainState(cfg, keep_best=out_dir is not None)
-    for _ in range(cfg.epochs * cfg.steps_per_epoch):
-        seeds = state.data_rng.integers(0, 2 ** 31, size=cfg.batch)
-        x, labels, _ = task.batch([int(s) for s in seeds])
-        state.step(x, labels)
+    batches = state.task.batches(state.data_rng, cfg.batch)
+    for x, targets in itertools.islice(batches, cfg.epochs * cfg.steps_per_epoch):
+        state.step(x, targets)
         if target_accuracy is not None and state.steps_run >= 20 \
                 and state.final_accuracy >= target_accuracy:
             break
@@ -329,16 +341,16 @@ def load_model_checkpoint(path) -> tuple[PatchModel, ExperimentConfig, dict]:
 # evaluation and the sweep
 # ---------------------------------------------------------------------------
 
-def _refine_cell_box(brightness: np.ndarray, gy: int, gx: int, cell: int) -> BBox:
-    """Localize the bright blob inside a confident cell: bounding box of the
-    pixels within 0.15 of the cell's peak ``brightness`` (the image's
-    channel mean, shape (h, w))."""
+def _refine_cell_box(brightness: np.ndarray, gy: int, gx: int, cell: int, score: float) -> BBox:
+    """Localize the bright blob inside a confident cell: bounding box, scored
+    ``score``, of the pixels within 0.15 of the cell's peak ``brightness``
+    (the image's channel mean, shape (h, w))."""
     patch = brightness[gy * cell:(gy + 1) * cell, gx * cell:(gx + 1) * cell]
     mask = patch >= patch.max() - 0.15
     ys, xs = np.nonzero(mask)
     x1, x2 = gx * cell + xs.min(), gx * cell + xs.max() + 1
     y1, y2 = gy * cell + ys.min(), gy * cell + ys.max() + 1
-    return BBox(float(x1), float(y1), float(x2), float(y2), class_id=0)
+    return BBox(float(x1), float(y1), float(x2), float(y2), class_id=0, score=score)
 
 
 def model_detections(logits: np.ndarray, task: SyntheticPatchTask,
@@ -352,8 +364,7 @@ def model_detections(logits: np.ndarray, task: SyntheticPatchTask,
         for gx in range(task.grid):
             p = float(probs[gy, gx])
             if p >= threshold:
-                box = _refine_cell_box(brightness, gy, gx, task.CELL)
-                out.append(replace(box, score=p))
+                out.append(_refine_cell_box(brightness, gy, gx, task.CELL, p))
     return out
 
 
@@ -367,17 +378,17 @@ def evaluate_model(model: PatchModel, task: SyntheticPatchTask, n_images: int = 
     Eval-mode batchnorm uses running statistics, so the images of one forward
     do not interact; each image is scored from its own slice of the logits."""
     per_forward = max(1, EVAL_PIXELS_PER_FORWARD // task.size ** 2)
-    preds_by_image, gts_by_image, logits_and_labels = [], [], []
+    preds_by_image, gts_by_image, logits_and_targets = [], [], []
     for start in range(seed_base, seed_base + n_images, per_forward):
         stop = min(start + per_forward, seed_base + n_images)
-        x, labels, samples = task.batch(range(start, stop))
+        x, targets, samples = task.batch(range(start, stop))
         logits = model.forward(x, training=False)
         for i, li in enumerate(samples):
             gts_by_image.append(li.boxes)
-            preds_by_image.append(model_detections(logits[i:i + 1], task, li))
-        logits_and_labels.append((logits, labels))
+            preds_by_image.append(task.detections(logits[i:i + 1], li))
+        logits_and_targets.append((logits, targets))
     result = evaluate(preds_by_image, gts_by_image, num_classes=1)
-    return result, _cell_accuracy(*map(np.concatenate, zip(*logits_and_labels)))
+    return result, task.accuracy(*map(np.concatenate, zip(*logits_and_targets)))
 
 
 SWEEP_EVAL_IMAGES = 16

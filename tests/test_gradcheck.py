@@ -102,7 +102,7 @@ class TestFormatReports:
         assert "0 failures" in lines[-1]
 
 
-# Every (op, sites) group of run_full_suite(0), in order: 106 sites.
+# Every (op, sites) group of run_full_suite(0), in order: 109 sites.
 SUITE_SITES = [
     ("global_avg_pool", "x0"),
     ("channel_reduce_avg", "x0"),
@@ -140,6 +140,7 @@ SUITE_SITES = [
     ("concat_channels", "a b"),
     ("split_channels", "x"),
     ("batchnorm", "x gamma beta"),
+    ("batchnorm_silu", "x gamma beta"),
     ("se[residual-tanh]", "input se/w1 se/b1 se/w2 se/b2"),
     ("cbam[residual-tanh]",
      "input cbam/w1 cbam/b1 cbam/w2 cbam/b2 cbam/spatial_kernel cbam/spatial_bias"),
@@ -169,7 +170,7 @@ class TestFullSuite:
     def test_site_list_pinned(self):
         reports = gc.run_full_suite(0)
         expected = [(op, site) for op, sites in SUITE_SITES for site in sites.split()]
-        assert len(expected) == 106
+        assert len(expected) == 109
         assert [(r.op_name, r.param_site) for r in reports] == expected
 
 
@@ -194,7 +195,8 @@ class TestSensitivity:
     suite: the oracle is no looser than three times its tolerance."""
 
     @pytest.mark.parametrize("name,positions", [("conv2d", (1,)), ("batchnorm", (0, 1, 2)),
-                                                ("silu", (0,)), ("tanh_act", (0,))])
+                                                ("silu", (0,)), ("tanh_act", (0,)),
+                                                ("batchnorm_silu", (0, 1, 2))])
     def test_scaled_backward_fails_a_site(self, monkeypatch, name, positions):
         original = getattr(T, name)
         mutated = _scaled_backward(original, positions, 1.0 + 3e-4)

@@ -109,18 +109,22 @@ def _modules(module):
 
 
 def test_only_training_forwards_keep_a_tape():
+    """Every module reads the class default tape None until a forward sets
+    its own: after a training forward, the six taped kinds hold one each."""
     model = PatchModel(ExperimentConfig())
-    taped = [m for m in _modules(model) if hasattr(m, "_tape")]
-    assert {type(m).__name__ for m in taped} == {
-        "PatchModel", "ConvBlock", "Bottleneck", "C2f", "SEBlock", "CBAMBlock"}
+    modules = list(_modules(model))
+    assert all(m._tape is None for m in modules)
     x = SyntheticPatchTask(64).sample(0).image
     model.forward(x, training=True)
+    taped = [m for m in modules if "_tape" in vars(m)]
+    assert {type(m).__name__ for m in taped} == {
+        "PatchModel", "ConvBlock", "Bottleneck", "C2f", "SEBlock", "CBAMBlock"}
     assert all(m._tape is not None for m in taped)
     model.forward(x, training=False)
-    assert all(m._tape is None for m in taped)
+    assert all(m._tape is None for m in modules)
     # a backward consumes the tape of the training forward before it
     model.backward(np.ones_like(model.forward(x, training=True)))
-    assert all(m._tape is None for m in taped)
+    assert all(m._tape is None for m in modules)
 
 
 @pytest.mark.parametrize("training", [True, False])

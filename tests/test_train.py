@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -57,17 +58,24 @@ def fixed_batch_run(cfg, keep_best=False) -> TrainState:
     return state
 
 
+def reference_batches(cfg):
+    """train()'s batches written out: ``cfg.batch`` sample seeds per step from
+    the ``[seed, 2]`` stream, each batch from ``task.batch``."""
+    task = SyntheticPatchTask(cfg.input_size, cfg.augment)
+    rng = np.random.default_rng([cfg.seed, 2])
+    for _ in range(cfg.epochs * cfg.steps_per_epoch):
+        x, labels, _ = task.batch([int(s) for s in rng.integers(0, 2 ** 31, size=cfg.batch)])
+        yield x, labels
+
+
 def reference_run(cfg):
     """train()'s loop written out with the library's parts: returns the
     losses, the final model, and a copy of the weights that gave the lowest
     loss, taken before that step's update."""
-    task = SyntheticPatchTask(cfg.input_size, cfg.augment)
     model = PatchModel(cfg)
     opt = SGD(model.parameters(), cfg.lr, cfg.momentum)
-    rng = np.random.default_rng([cfg.seed, 2])
     losses, best = [], None
-    for _ in range(cfg.epochs * cfg.steps_per_epoch):
-        x, labels, _ = task.batch([int(s) for s in rng.integers(0, 2 ** 31, size=cfg.batch)])
+    for x, labels in reference_batches(cfg):
         logits = model.forward(x, training=True)
         loss, g = bce_with_logits(logits, labels)
         if not losses or loss < min(losses):
@@ -341,6 +349,74 @@ class TestTrainLoop:
             saved = [(n, a) for n, a in load_checkpoint(tmp_path / f"{name}.ckpt")
                      if not n.startswith(META_PREFIX)]
             assert same_tensors(saved, expected), name
+
+
+class TestTaskProtocol:
+    @pytest.mark.parametrize("augment", [AugmentPackage.VER1, AugmentPackage.VER3])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_batches_are_the_reference_draw(self, seed, augment):
+        """``batches`` yields reference_run's batches bit for bit and draws
+        ``batch`` seeds per batch, no more, so the saved stream state holds."""
+        cfg = tiny_cfg(seed=seed, augment=augment, batch=3, steps_per_epoch=4)
+        task = SyntheticPatchTask(cfg.input_size, cfg.augment)
+        rng = np.random.default_rng([seed, 2])
+        got = itertools.islice(task.batches(rng, cfg.batch), 4)
+        for (x, targets), (ex, et) in zip(got, reference_batches(cfg), strict=True):
+            assert (x.values.dtype, x.shape, x.values.tobytes()) == \
+                (ex.values.dtype, ex.shape, ex.values.tobytes())
+            assert (targets.dtype, targets.shape, targets.tobytes()) == \
+                (et.dtype, et.shape, et.tobytes())
+        after = np.random.default_rng([seed, 2])
+        after.integers(0, 2 ** 31, size=4 * cfg.batch)
+        assert rng.bit_generator.state == after.bit_generator.state
+
+    def test_train_state_builds_the_configured_task(self):
+        cfg = tiny_cfg(input_size=128, augment=AugmentPackage.VER3)
+        task = TrainState(cfg).task
+        assert (task.size, task.augment) == (cfg.input_size, cfg.augment)
+
+    def test_step_scores_through_the_task(self, monkeypatch):
+        """TrainState.step takes its loss and accuracy from its task."""
+        calls = []
+
+        def counted(name, method):
+            def wrapper(self, *args):
+                calls.append(name)
+                return method(self, *args)
+            return wrapper
+
+        for name in ("loss", "accuracy"):
+            monkeypatch.setattr(SyntheticPatchTask, name,
+                                counted(name, getattr(SyntheticPatchTask, name)))
+        train(tiny_cfg(steps_per_epoch=2))
+        assert calls == ["loss", "accuracy"] * 2
+
+    @pytest.mark.parametrize("size,n_images", [(64, 20), (128, 9)])
+    def test_evaluate_model_is_the_loop_written_out(self, size, n_images):
+        """evaluate_model's metrics and accuracy, by .hex(), are those of a
+        loop over task.batch, model_detections and the cell-accuracy formula,
+        which the task's ``detections`` and ``accuracy`` reproduce."""
+        model = PatchModel(ExperimentConfig(input_size=size, seed=5))
+        task = SyntheticPatchTask(size)
+        per_forward = EVAL_PIXELS_PER_FORWARD // size ** 2
+        preds, gts, logits, targets = [], [], [], []
+        for start in range(10_000, 10_000 + n_images, per_forward):
+            x, t, samples = task.batch(range(start, min(start + per_forward, 10_000 + n_images)))
+            z = model.forward(x, training=False)
+            for i, li in enumerate(samples):
+                preds.append(model_detections(z[i:i + 1], task, li))
+                assert task.detections(z[i:i + 1], li) == preds[-1]
+                gts.append(li.boxes)
+            logits.append(z)
+            targets.append(t)
+        logits, targets = np.concatenate(logits), np.concatenate(targets)
+        acc = float(np.mean((logits > 0.0) == (targets > 0.5)))
+        assert task.accuracy(logits, targets).hex() == acc.hex()
+        expected = evaluate(preds, gts, num_classes=1)
+        result, got = evaluate_model(model, task, n_images=n_images)
+        assert {k: v.hex() for k, v in result.as_dict().items()} == \
+            {k: v.hex() for k, v in expected.as_dict().items()}
+        assert got.hex() == acc.hex()
 
 
 class TestFusedConvBlock:
