@@ -5,6 +5,15 @@ Both blocks come in two flavours: the classic multiplicative sigmoid gate
 With identity-safe initialization (last projections zeroed) the residual
 gate makes each block exactly the identity function, so it can be dropped
 into a trained network without disturbing it at step 0.
+
+In the backbone the two gates are one model: since ``1 + tanh(z) =
+2 sigmoid(2z)``, the sigmoid gate with ``w2``, ``b2`` and ``spatial_bias``
+doubled and ``spatial_kernel`` quadrupled scales each block's residual-gate
+output by 1/2 (SE) or 1/4 (CBAM), which the training-mode batchnorm after
+every block removes, so in training the gates differ only as learning rates
+(x4, x16 for the kernel).  This holds up to batchnorm's ``eps``, not in eval
+mode while the running statistics keep their initial values, and not for a
+block that no batchnorm follows.
 """
 
 from __future__ import annotations
@@ -21,14 +30,13 @@ from .tensor import (
     broadcast_mul,
     channel_reduce_avg,
     channel_reduce_max,
+    clipped_sigmoid,
     concat_channels,
     conv2d,
     fc,
     global_avg_pool,
     global_max_pool,
     relu,
-    sigmoid,
-    tanh_act,
 )
 
 __all__ = [
@@ -47,12 +55,22 @@ class GateKind(enum.Enum):
 
 
 def gate_tensor(z: Tensor4, kind: GateKind):
-    """Tensor gate with backward; returns (multiplier, backward).  The
-    sigmoid multiplier lies in (0, 1), the residual tanh one in (0, 2)."""
+    """The gate multiplier of logits ``z`` and its backward; returns
+    (multiplier, backward).  The sigmoid multiplier ``sigmoid(z)`` lies in
+    (0, 1), the residual one ``1 + tanh(z)`` in (0, 2)."""
     if kind is GateKind.SIGMOID_ORIGINAL:
-        return sigmoid(z)
-    t, backward = tanh_act(z)  # d(1 + tanh)/dz = d tanh/dz
-    return Tensor4(1.0 + t.values), backward
+        m = clipped_sigmoid(z.values)
+
+        def backward(g):
+            return (g * m * (1.0 - m),)
+
+        return Tensor4(m), backward
+    t = np.tanh(z.values)
+
+    def backward(g):
+        return (g * (1.0 - t * t),)
+
+    return Tensor4(1.0 + t), backward
 
 
 def bottleneck_width(channels: int, reduction: int) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import CBAMBlock, GateKind, SEBlock
+from .attention import CBAMBlock, GateKind, SEBlock, gate_tensor
 from .backbone import Backbone, build_design
 from .tensor import KinkTrace, Tensor4
 
@@ -141,14 +141,18 @@ def _tensor_op(fn, n_tensors=1, **kw):
 
 
 def check_op_suite(seed: int = 0):
-    """Gradcheck every operator over a set of shapes, the fused ``batchnorm_silu`` last."""
+    """Gradcheck every operator, the attention gate under each ``GateKind``
+    included, over a set of shapes, the fused ``batchnorm_silu`` last."""
     rng = np.random.default_rng(seed)
     cases = []
     for shape in ((1, 3, 4, 4), (2, 1, 5, 2), (1, 16, 2, 5)):
         x0, x = {"x0": shape}, {"x": shape}
         cases += [(name, _tensor_op(getattr(T, name)), x0) for name in
-                  ("global_avg_pool", "channel_reduce_avg", "sigmoid", "tanh_act", "silu")]
-        cases += [("add", _tensor_op(T.add, 2), {"x0": shape, "x1": shape}),
+                  ("global_avg_pool", "channel_reduce_avg")]
+        cases += [(f"gate[{kind.value}]", _tensor_op(gate_tensor, kind=kind), x0)
+                  for kind in GateKind]
+        cases += [("silu", _tensor_op(T.silu), x0),
+                  ("add", _tensor_op(T.add, 2), {"x0": shape, "x1": shape}),
                   ("relu", _tensor_op(T.relu), x),
                   ("global_max_pool", _tensor_op(T.global_max_pool), x)]
         if shape[1] > 1:

@@ -27,9 +27,7 @@ __all__ = [
     "fc",
     "conv2d",
     "relu",
-    "sigmoid",
     "clipped_sigmoid",
-    "tanh_act",
     "silu",
     "broadcast_mul",
     "concat_channels",
@@ -413,24 +411,6 @@ def clipped_sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def sigmoid(x: Tensor4):
-    s = clipped_sigmoid(x.values)
-
-    def backward(g):
-        return (g * s * (1.0 - s),)
-
-    return Tensor4(s), backward
-
-
-def tanh_act(x: Tensor4):
-    t = np.tanh(x.values)
-
-    def backward(g):
-        return (g * (1.0 - t * t),)
-
-    return Tensor4(t), backward
-
-
 def _silu(v: np.ndarray, out: np.ndarray | None = None):
     """SiLU's forward, ``(v * s, s)`` with ``s = clipped_sigmoid(v)``; the
     product goes into ``out``, which may be ``v``."""
@@ -472,18 +452,12 @@ def broadcast_mul(x: Tensor4, gate: Tensor4):
         axes = (2, 3)
     elif gs == (n, 1, h, w):
         axes = (1,)
-    elif gs == (n, c, h, w):
-        axes = ()
     else:
         raise ShapeError(f"gate shape {gs} incompatible with input {x.shape}")
     out = x.values * gate.values
 
     def backward(g):
-        gx = g * gate.values
-        gg = g * x.values
-        if axes:
-            gg = gg.sum(axis=axes, keepdims=True)
-        return gx, gg
+        return g * gate.values, (g * x.values).sum(axis=axes, keepdims=True)
 
     return Tensor4(out), backward
 

@@ -1,8 +1,11 @@
 """Backbone design table, shape arithmetic, and composition tests."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from moonnet import backbone
 from moonnet.attention import GateKind, bottleneck_width
 from moonnet.backbone import (
     AttentionKind,
@@ -15,7 +18,7 @@ from moonnet.backbone import (
 )
 from moonnet.config import ExperimentConfig
 from moonnet.tensor import ShapeError, Tensor4
-from moonnet.train import PatchModel, SyntheticPatchTask, bce_with_logits
+from moonnet.train import SGD, PatchModel, SyntheticPatchTask, bce_with_logits
 
 
 def random_input(shape, seed=0):
@@ -180,3 +183,108 @@ class TestInitOracles:
         plain, gated = (Backbone(build_design(d, 0.125, GateKind.SIGMOID_ORIGINAL),
                                  seed=seed).forward(x)[0].values for d in (0, 5))
         assert np.array_equal(gated, 0.5 * plain)
+
+
+# the weight map that makes a sigmoid-gate model of a residual-gate one
+GATE_MAP = {"w2": 2.0, "b2": 2.0, "spatial_bias": 2.0, "spatial_kernel": 4.0}
+
+
+class TestCrossGateOracle:
+    """The residual gate is the sigmoid gate under a fixed weight map.
+
+    ``1 + tanh(z) = 2 sigmoid(2z)``, so doubling an SE block's ``w2`` and
+    ``b2`` makes the sigmoid gate compute half the residual gate's output.
+    CBAM's spatial conv reads that halved tensor, so its kernel is
+    quadrupled and its bias doubled.  Every attention block feeds a
+    training-mode batchnorm, which removes the scale up to its ``eps``; the
+    tests set ``eps`` to 1e-18 and run in float64, so the two models agree
+    to rounding.  If a weight is mapped by f, its gradient is mapped by
+    1/f, so SGD keeps the two together when the mapped gradients are
+    scaled by f**2.
+
+    Measured (designs 1-6, seed 0, 64 px, batch 4): the logits, of order
+    1, agree to 6.4e-13 at most (design 4, which has a low-variance
+    channel; at eps 1e-14 it reads 6.3e-9), the per-tensor gradient error
+    is at most 1.1e-10 of the tensor's largest gradient, and 20 mapped SGD
+    steps keep the losses within 2.3e-12.  The bounds sit 16x, 90x and 43x
+    above these, room for another BLAS's summation order, and far below
+    what a wrong map gives: a 2x kernel map moves the logits by 0.37 or
+    more, and SGD without the lr map parts by 6.3e-4 after one step.
+    """
+
+    LOGIT_BOUND = 1e-11
+    GRAD_BOUND = 1e-8
+    LOSS_BOUND = 1e-10
+
+    @pytest.fixture(autouse=True)
+    def tiny_batchnorm_eps(self, monkeypatch):
+        monkeypatch.setattr(backbone, "batchnorm_silu",
+                            functools.partial(backbone.batchnorm_silu, eps=1e-18))
+
+    @staticmethod
+    def _factor(name, gate_map=GATE_MAP):
+        return gate_map.get(name.rsplit("/", 1)[-1], 1.0) if "/att/" in name else 1.0
+
+    def _twins(self, design_id, gate_map=GATE_MAP, randomize=True):
+        """A float64 residual-gate model, its attention parameters drawn
+        0.3 * N(0, 1) unless ``randomize`` is off, and the sigmoid-gate
+        model that ``gate_map`` makes of it."""
+        res, sig = (PatchModel(ExperimentConfig(design_id=design_id, gate=gate)).cast(np.float64)
+                    for gate in (GateKind.RESIDUAL_TANH, GateKind.SIGMOID_ORIGINAL))
+        rng = np.random.default_rng(0)
+        for p in res.parameters():
+            if randomize and "/att/" in p.name:
+                p.value[...] = 0.3 * rng.standard_normal(p.value.shape)
+        for (name, a), (_, b) in zip(res.named_tensors(), sig.named_tensors()):
+            b[...] = self._factor(name, gate_map) * a
+        return res, sig
+
+    @staticmethod
+    def _step(model, task, x, targets):
+        """One training-mode forward and backward; returns (logits, loss)."""
+        logits = model.forward(Tensor4(x.values.astype(np.float64)))
+        loss, g = task.loss(logits, targets)
+        model.backward(g)
+        return logits, loss
+
+    @pytest.mark.parametrize("design_id", range(1, 7))
+    def test_mapped_sigmoid_model_computes_the_residual_model(self, design_id):
+        task = SyntheticPatchTask(64)
+        x, targets, _ = task.batch(range(4))
+        res, sig = self._twins(design_id)
+        logits_res, _ = self._step(res, task, x, targets)
+        logits_sig, _ = self._step(sig, task, x, targets)
+        assert np.abs(logits_res - logits_sig).max() <= self.LOGIT_BOUND
+        for p, q in zip(res.parameters(), sig.parameters()):
+            err = np.abs(p.grad - self._factor(p.name) * q.grad).max() / np.abs(p.grad).max()
+            assert err <= self.GRAD_BOUND, p.name
+
+    @pytest.mark.parametrize("design_id", range(2, 7))
+    def test_a_doubled_spatial_kernel_breaks_it(self, design_id):
+        x, _, _ = SyntheticPatchTask(64).batch(range(4))
+        x = Tensor4(x.values.astype(np.float64))
+        res, sig = self._twins(design_id, {**GATE_MAP, "spatial_kernel": 2.0})
+        assert np.abs(res.forward(x) - sig.forward(x)).max() > self.LOGIT_BOUND
+
+    def _loss_gaps(self, lr_map):
+        """|loss_res - loss_sig| at each of 20 SGD steps of design 5 from
+        fresh builds, the sigmoid model's mapped gradients scaled by f**2
+        when ``lr_map`` is on."""
+        task = SyntheticPatchTask(64)
+        res, sig = self._twins(5, randomize=False)
+        opt_res, opt_sig = (SGD(m.parameters(), lr=0.01, momentum=0.9) for m in (res, sig))
+        for _, (x, targets) in zip(range(20), task.batches(np.random.default_rng([0, 2]), 4)):
+            _, loss_res = self._step(res, task, x, targets)
+            _, loss_sig = self._step(sig, task, x, targets)
+            if lr_map:
+                for q in sig.parameters():
+                    q.grad *= self._factor(q.name) ** 2
+            opt_res.step()
+            opt_sig.step()
+            yield abs(loss_res - loss_sig)
+
+    def test_lr_map_keeps_sgd_together(self):
+        assert max(self._loss_gaps(lr_map=True)) <= self.LOSS_BOUND
+
+    def test_sgd_parts_without_the_lr_map(self):
+        assert any(gap > self.LOSS_BOUND for gap in self._loss_gaps(lr_map=False))

@@ -106,8 +106,8 @@ class TestFormatReports:
 SUITE_SITES = [
     ("global_avg_pool", "x0"),
     ("channel_reduce_avg", "x0"),
-    ("sigmoid", "x0"),
-    ("tanh_act", "x0"),
+    ("gate[sigmoid]", "x0"),
+    ("gate[residual-tanh]", "x0"),
     ("silu", "x0"),
     ("add", "x0 x1"),
     ("relu", "x"),
@@ -115,16 +115,16 @@ SUITE_SITES = [
     ("channel_reduce_max", "x"),
     ("global_avg_pool", "x0"),
     ("channel_reduce_avg", "x0"),
-    ("sigmoid", "x0"),
-    ("tanh_act", "x0"),
+    ("gate[sigmoid]", "x0"),
+    ("gate[residual-tanh]", "x0"),
     ("silu", "x0"),
     ("add", "x0 x1"),
     ("relu", "x"),
     ("global_max_pool", "x"),
     ("global_avg_pool", "x0"),
     ("channel_reduce_avg", "x0"),
-    ("sigmoid", "x0"),
-    ("tanh_act", "x0"),
+    ("gate[sigmoid]", "x0"),
+    ("gate[residual-tanh]", "x0"),
     ("silu", "x0"),
     ("add", "x0 x1"),
     ("relu", "x"),
@@ -195,7 +195,7 @@ class TestSensitivity:
     suite: the oracle is no looser than three times its tolerance."""
 
     @pytest.mark.parametrize("name,positions", [("conv2d", (1,)), ("batchnorm", (0, 1, 2)),
-                                                ("silu", (0,)), ("tanh_act", (0,)),
+                                                ("silu", (0,)),
                                                 ("batchnorm_silu", (0, 1, 2))])
     def test_scaled_backward_fails_a_site(self, monkeypatch, name, positions):
         original = getattr(T, name)
@@ -205,3 +205,21 @@ class TestSensitivity:
                 monkeypatch.setattr(mod, name, mutated)
         reports = gc.run_full_suite(0)
         assert any(not r.passed for r in reports)
+
+    @pytest.mark.parametrize("scaled_kind,failing", [
+        (GateKind.SIGMOID_ORIGINAL, {"gate[sigmoid]", "se[sigmoid]", "cbam[sigmoid]"}),
+        (GateKind.RESIDUAL_TANH, {"gate[residual-tanh]", "se[residual-tanh]",
+                                  "cbam[residual-tanh]", "backbone[2-stage]"}),
+    ])
+    def test_scaled_gate_backward_fails_every_op_that_runs_it(self, monkeypatch, scaled_kind,
+                                                               failing):
+        original = attention.gate_tensor
+        scaled = _scaled_backward(original, (0,), 1.0 + 3e-4)
+
+        def mutated(z, kind):
+            return (scaled if kind is scaled_kind else original)(z, kind)
+
+        for mod in (attention, gc):
+            monkeypatch.setattr(mod, "gate_tensor", mutated)
+        reports = gc.run_full_suite(0)
+        assert {r.op_name for r in reports if not r.passed} == failing

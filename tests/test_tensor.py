@@ -2,11 +2,13 @@
 
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from moonnet import tensor as T
+from moonnet.attention import GateKind, gate_tensor
 from moonnet.tensor import ShapeError, Tensor4
 
 
@@ -362,14 +364,11 @@ class TestConv2dColumnLayout:
 
 
 class TestActivations:
-    def test_sigmoid_at_zero_halves(self):
-        out, _ = T.sigmoid(t4(np.zeros((1, 1, 1, 1))))
-        assert out.values.reshape(()) == 0.5
-
-    def test_tanh_at_zero(self):
-        out, _ = T.tanh_act(t4(np.zeros((1, 2, 2, 2))))
-        assert np.all(out.values == 0.0)
-        assert np.all(1.0 + out.values == 1.0)
+    @pytest.mark.parametrize("kind,at_zero", [(GateKind.SIGMOID_ORIGINAL, 0.5),
+                                              (GateKind.RESIDUAL_TANH, 1.0)])
+    def test_gate_at_zero(self, kind, at_zero):
+        out, _ = gate_tensor(t4(np.zeros((1, 2, 2, 2))), kind)
+        assert np.all(out.values == at_zero)
 
     def test_relu_subgradient_zero_at_zero(self):
         x = t4(np.array([[-1.0, 0.0], [0.5, 2.0]]).reshape(1, 1, 2, 2))
@@ -378,7 +377,9 @@ class TestActivations:
         assert np.array_equal(out.values.reshape(-1), [0, 0, 0.5, 2.0])
         assert np.array_equal(gx.reshape(-1), [0, 0, 1, 1])
 
-    @pytest.mark.parametrize("op", [T.sigmoid, T.tanh_act, T.silu])
+    @pytest.mark.parametrize("op", [partial(gate_tensor, kind=GateKind.SIGMOID_ORIGINAL),
+                                    partial(gate_tensor, kind=GateKind.RESIDUAL_TANH), T.silu],
+                             ids=["gate[sigmoid]", "gate[residual-tanh]", "silu"])
     def test_derivative_matches_central_difference(self, op):
         rng = np.random.default_rng(21)
         x = rng.standard_normal((1, 3, 4, 4))
@@ -391,9 +392,10 @@ class TestActivations:
         rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-6
 
-    def test_sigmoid_extreme_inputs_stay_finite(self):
+    @pytest.mark.parametrize("kind", GateKind)
+    def test_gate_extreme_inputs_stay_finite(self, kind):
         x = t4(np.array([-500.0, 500.0]).reshape(1, 1, 1, 2))
-        out, _ = T.sigmoid(x)
+        out, _ = gate_tensor(x, kind)
         assert np.all(np.isfinite(out.values))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -443,6 +445,11 @@ class TestBroadcastMul:
     def test_incompatible_shapes(self):
         with pytest.raises(ShapeError):
             T.broadcast_mul(t4(np.zeros((1, 3, 4, 4))), t4(np.zeros((1, 2, 1, 1))))
+
+    def test_full_shape_gate_rejected(self):
+        """Only a channel (n, c, 1, 1) or a spatial (n, 1, h, w) gate is accepted."""
+        with pytest.raises(ShapeError):
+            T.broadcast_mul(t4(np.zeros((2, 3, 4, 4))), t4(np.zeros((2, 3, 4, 4))))
 
 
 class TestStructural:
